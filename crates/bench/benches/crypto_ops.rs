@@ -6,8 +6,8 @@ use std::hint::black_box;
 use sbft_bench::micro::Bench;
 use sbft_core::{KeyMaterial, ProtocolConfig, VariantFlags};
 use sbft_crypto::{
-    batch_verify_share_items, generate_threshold_keys, sha256, FixedBaseTable, KeyPair, Scalar,
-    ShareVerifyItem, SignatureShare,
+    batch_verify_share_items, generate_threshold_keys, sha256, KeyPair, Scalar, ShareVerifyItem,
+    SignatureShare,
 };
 use sbft_types::ClientId;
 
@@ -93,12 +93,6 @@ fn main() {
             id = id.wrapping_add(1) % 64;
             black_box(keys.public.client_keys(ClientId::new(id)))
         })
-    });
-    c.bench_function("fixed_base_table_mul", |b| {
-        let base = sbft_crypto::GroupElement::generator().mul(&Scalar::from_u64(0xabcd));
-        let table = FixedBaseTable::new(&base);
-        let s = Scalar::from_digest(&sha256(b"scalar"));
-        b.iter(|| black_box(table.mul(&s)))
     });
     c.bench_function("variable_base_mul", |b| {
         let base = sbft_crypto::GroupElement::generator().mul(&Scalar::from_u64(0xabcd));

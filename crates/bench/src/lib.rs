@@ -1,9 +1,9 @@
 //! Experiment driver for the SBFT reproduction.
 //!
 //! Runs the five protocol variants of §IX on identical simulated
-//! substrates and extracts the measurements the paper reports. Each
-//! table/figure has a binary under `src/bin/` (see `DESIGN.md` §4 for the
-//! index); this library holds the shared machinery.
+//! substrates (see the README "Substitutions" section) and extracts the
+//! measurements the paper reports. Each table/figure has a binary under
+//! `src/bin/`, named after it; this library holds the shared machinery.
 
 pub mod driver;
 pub mod micro;

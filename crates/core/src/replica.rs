@@ -17,6 +17,7 @@
 //! (in single-ack mode) acknowledge each client with one message.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 use sbft_types::{ClientId, Digest, ReplicaId, SeqNum, ViewNum};
 
@@ -117,6 +118,27 @@ struct Slot {
     exec_proof_sent: bool,
     acks_sent: bool,
     exec_timer_set: bool,
+    // --- roles ---
+    collectors: SlotCollectors,
+}
+
+/// A slot's collector lists, each ranked once instead of on every
+/// message: E-collectors depend on the sequence number alone,
+/// C-collectors on the view as well.
+#[derive(Debug, Default)]
+struct SlotCollectors {
+    e: Option<Arc<[ReplicaId]>>,
+    c: Option<(ViewNum, Arc<[ReplicaId]>)>,
+}
+
+/// A client's latest executed request and its result: a retry of it is
+/// answered with a [`SbftMsg::Reply`] however long ago it executed (the
+/// client's ack may have been lost), and older timestamps are stale.
+#[derive(Debug)]
+struct LastReply {
+    timestamp: u64,
+    seq: SeqNum,
+    result: Vec<u8>,
 }
 
 /// The SBFT replica node.
@@ -187,10 +209,8 @@ pub struct ReplicaNode {
     verified_order: VecDeque<(u32, u64)>,
 
     // Execution bookkeeping.
-    /// Highest executed timestamp per client.
-    client_table: HashMap<u32, u64>,
-    /// `(client, timestamp) → (seq, index)` for executed requests.
-    executed_requests: HashMap<(u32, u64), (SeqNum, u32)>,
+    /// Each client's latest executed request, kept to answer its retries.
+    client_table: HashMap<u32, LastReply>,
     /// Requests this replica knows are outstanding (liveness watchdog).
     forwarded: HashMap<(u32, u64), ()>,
 
@@ -291,7 +311,6 @@ impl ReplicaNode {
             verified_requests: HashMap::new(),
             verified_order: VecDeque::new(),
             client_table: HashMap::new(),
-            executed_requests: HashMap::new(),
             forwarded: HashMap::new(),
             vc_messages: BTreeMap::new(),
             vc_attempts: 0,
@@ -531,18 +550,42 @@ impl ReplicaNode {
         self.slots.entry(seq.get()).or_default()
     }
 
-    fn my_c_collector_index(&self, seq: SeqNum, view: ViewNum) -> Option<usize> {
-        self.config
-            .c_collectors(seq, view)
+    /// The C-collectors of `(seq, view)`, memoized in the slot (ranked
+    /// afresh, uncached, for a slot this replica does not hold).
+    fn c_collectors(&mut self, seq: SeqNum, view: ViewNum) -> Arc<[ReplicaId]> {
+        let Some(slot) = self.slots.get_mut(&seq.get()) else {
+            return self.config.c_collectors(seq, view).into();
+        };
+        match &slot.collectors.c {
+            Some((cached_view, list)) if *cached_view == view => list.clone(),
+            _ => {
+                let list: Arc<[ReplicaId]> = self.config.c_collectors(seq, view).into();
+                slot.collectors.c = Some((view, list.clone()));
+                list
+            }
+        }
+    }
+
+    /// The E-collectors of `seq`, memoized in the slot like
+    /// [`Self::c_collectors`].
+    fn e_collectors(&mut self, seq: SeqNum) -> Arc<[ReplicaId]> {
+        let Some(slot) = self.slots.get_mut(&seq.get()) else {
+            return self.config.e_collectors(seq, ViewNum::ZERO).into();
+        };
+        slot.collectors
+            .e
+            .get_or_insert_with(|| self.config.e_collectors(seq, ViewNum::ZERO).into())
+            .clone()
+    }
+
+    fn my_c_collector_index(&mut self, seq: SeqNum, view: ViewNum) -> Option<usize> {
+        self.c_collectors(seq, view)
             .iter()
             .position(|r| *r == self.id)
     }
 
-    fn my_e_collector_index(&self, seq: SeqNum) -> Option<usize> {
-        self.config
-            .e_collectors(seq, ViewNum::ZERO)
-            .iter()
-            .position(|r| *r == self.id)
+    fn my_e_collector_index(&mut self, seq: SeqNum) -> Option<usize> {
+        self.e_collectors(seq).iter().position(|r| *r == self.id)
     }
 
     // ---------- watchdog / liveness ----------
@@ -650,16 +693,14 @@ impl ReplicaNode {
             return;
         }
         let key = (request.client.get(), request.timestamp);
-        // Already executed: answer directly (client retry path, §V-A).
-        if let Some(&(seq, index)) = self.executed_requests.get(&key) {
-            if let Some(result) = self.engine.result_of(seq, index as usize) {
-                let reply = self.make_reply(seq, &request, result);
+        if let Some(last) = self.client_table.get(&key.0) {
+            // Already executed: answer directly (client retry path, §V-A).
+            if request.timestamp == last.timestamp {
+                let reply = self.make_reply(last.seq, &request, last.result.clone());
                 ctx.send(self.client_node(request.client), reply);
                 return;
             }
-        }
-        if let Some(&executed_ts) = self.client_table.get(&request.client.get()) {
-            if request.timestamp <= executed_ts {
+            if request.timestamp < last.timestamp {
                 return;
             }
         }
@@ -886,7 +927,7 @@ impl ReplicaNode {
             sigma,
             tau,
         };
-        for collector in self.config.c_collectors(seq, view) {
+        for &collector in self.c_collectors(seq, view).iter() {
             self.send_to(ctx, collector, msg.clone());
         }
         if self.tracer.is_some() {
@@ -1016,7 +1057,7 @@ impl ReplicaNode {
     /// dead to the failure detector, the second acts in its slot
     /// immediately instead of waiting out the full stagger ladder.
     fn effective_stagger_index(
-        &self,
+        &mut self,
         seq: SeqNum,
         view: ViewNum,
         my_index: usize,
@@ -1026,7 +1067,6 @@ impl ReplicaNode {
             return 0;
         }
         let suspected_ahead = self
-            .config
             .c_collectors(seq, view)
             .iter()
             .take(my_index)
@@ -1142,7 +1182,7 @@ impl ReplicaNode {
         let d2 = commit2_digest(seq, view, &h);
         let share = self.my_keys.tau.sign(DOMAIN_TAU, &d2);
         let msg = SbftMsg::CommitShare { seq, view, share };
-        for collector in self.config.c_collectors(seq, view) {
+        for &collector in self.c_collectors(seq, view).iter() {
             self.send_to(ctx, collector, msg.clone());
         }
     }
@@ -1403,13 +1443,22 @@ impl ReplicaNode {
             for (l, request) in requests.iter().enumerate() {
                 let key = (request.client.get(), request.timestamp);
                 self.trace_phase(ctx, key.0, key.1, Phase::Executed);
-                self.executed_requests.insert(key, (next, l as u32));
                 self.forwarded.remove(&key);
                 // Executed requests are deduped by the client table from
                 // here on; their verification memo entry has done its job.
                 self.verified_requests.remove(&key);
-                let entry = self.client_table.entry(request.client.get()).or_insert(0);
-                *entry = (*entry).max(request.timestamp);
+                if self
+                    .client_table
+                    .get(&key.0)
+                    .is_none_or(|last| key.1 > last.timestamp)
+                {
+                    let last = LastReply {
+                        timestamp: key.1,
+                        seq: next,
+                        result: exec.results[l].clone(),
+                    };
+                    self.client_table.insert(key.0, last);
+                }
             }
             {
                 let slot = self.slot(next);
@@ -1425,7 +1474,7 @@ impl ReplicaNode {
                 digest: exec.state_digest,
                 share,
             };
-            for collector in self.config.e_collectors(next, ViewNum::ZERO) {
+            for &collector in self.e_collectors(next).iter() {
                 self.send_to(ctx, collector, msg.clone());
             }
             // Direct replies (f+1 acknowledgement variants).
@@ -1440,18 +1489,19 @@ impl ReplicaNode {
             // If this replica is an E-collector and the proof was already
             // combined (we executed late), acks may now be sendable.
             self.maybe_send_acks(ctx, next);
+            // Execution ends this replica's part in the request — close
+            // the spans here, except on an E-collector that still owes an
+            // execute-ack: it keeps them open so the late ack can stamp
+            // `replied` (closed there instead).
+            let awaiting_ack = self.tracer.is_some()
+                && self.config.flags.single_client_ack
+                && self.my_e_collector_index(next).is_some()
+                && !self
+                    .slots
+                    .get(&next.get())
+                    .map(|s| s.acks_sent)
+                    .unwrap_or(true);
             if let Some(tracer) = &self.tracer {
-                // Execution ends this replica's part in the request —
-                // close the spans here, except on an E-collector that
-                // still owes an execute-ack: it keeps them open so the
-                // late ack can stamp `replied` (closed there instead).
-                let awaiting_ack = self.config.flags.single_client_ack
-                    && self.my_e_collector_index(next).is_some()
-                    && !self
-                        .slots
-                        .get(&next.get())
-                        .map(|s| s.acks_sent)
-                        .unwrap_or(true);
                 if !awaiting_ack {
                     for request in &requests {
                         tracer.close(request.client.get(), request.timestamp);
@@ -1670,19 +1720,17 @@ impl ReplicaNode {
         self.last_stable = seq;
         self.stable_cert = Some((digest, pi));
         self.stable_roots = Some((state_root, results_root));
-        // Garbage-collect protocol state and old execution artifacts,
-        // keeping half a window of artifacts for late client retries.
-        let keep_from = seq.get().saturating_sub(self.config.window / 2);
-        self.engine.garbage_collect(SeqNum::new(keep_from));
+        // Garbage-collect protocol state and the checkpointed blocks'
+        // execution artifacts: only execute-acks read those, and a slot's
+        // acks end with the slot (client retries are answered from the
+        // client table).
+        self.engine.garbage_collect(seq);
         self.slots = self.slots.split_off(&(seq.get() + 1));
         // Slots at or below the checkpoint can no longer combine: drop
         // their published digests and pre-verified share marks too.
         if let Some(map) = &self.shares {
             map.gc_below(seq);
         }
-        let stable = self.last_stable;
-        self.executed_requests
-            .retain(|_, (s, _)| *s > stable || s.get() + 64 > stable.get());
         if self.is_primary() && self.next_proposal <= seq {
             self.next_proposal = seq.next();
         }
@@ -1947,7 +1995,7 @@ impl ReplicaNode {
                         sigma,
                         tau,
                     };
-                    for collector in self.config.c_collectors(seq, view) {
+                    for &collector in self.c_collectors(seq, view).iter() {
                         self.send_to(ctx, collector, msg.clone());
                     }
                 }
@@ -3202,6 +3250,44 @@ mod tests {
             "two consecutive suspect ticks must depose the gray primary"
         );
         assert_eq!(metrics.counter("proactive_view_changes"), 1);
+    }
+
+    /// The per-slot collector memo holds exactly what `ProtocolConfig`
+    /// ranks, for every slot and view, at paper scale too.
+    #[test]
+    fn memoized_collectors_match_config() {
+        for (f, c) in [(1, 0), (1, 1), (2, 2), (64, 0)] {
+            let config = ProtocolConfig::new(f, c, VariantFlags::SBFT);
+            let keys = KeyMaterial::generate(&config, 7);
+            let mut node = ReplicaNode::new(
+                config.clone(),
+                ReplicaId::new(0),
+                &keys,
+                Box::new(KvService::new()),
+                CryptoCostModel::free(),
+            );
+            for s in 1..=512 {
+                let seq = SeqNum::new(s);
+                node.slot(seq);
+                let want_e = config.e_collectors(seq, ViewNum::ZERO);
+                for v in 0..=8 {
+                    let view = ViewNum::new(v);
+                    let want_c = config.c_collectors(seq, view);
+                    // The first call ranks and caches, the second reads
+                    // the cache.
+                    for _ in 0..2 {
+                        assert_eq!(*node.c_collectors(seq, view), *want_c, "f={f} c={c}");
+                        assert_eq!(*node.e_collectors(seq), *want_e, "f={f} c={c}");
+                    }
+                    let cached = &node.slots[&s].collectors;
+                    assert_eq!(
+                        cached.c.as_ref().map(|(v, list)| (*v, &**list)),
+                        Some((view, &*want_c))
+                    );
+                    assert_eq!(cached.e.as_deref(), Some(&*want_e));
+                }
+            }
+        }
     }
 
     /// Collector stagger reorder: when the first-ranked collector is

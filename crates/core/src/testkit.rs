@@ -801,6 +801,66 @@ mod tests {
         }
     }
 
+    /// A client whose execute-ack was lost retries long after its
+    /// request executed. Checkpoint GC must not make replicas drop that
+    /// retry: they answer it from the client table with f+1 `Reply`s.
+    #[test]
+    fn lost_ack_is_answered_after_checkpoint_gc() {
+        let put = |i: u64| {
+            KvOp::Put {
+                key: i.to_le_bytes().to_vec(),
+                value: vec![7; 16],
+            }
+            .to_wire_bytes()
+        };
+        let mut config = ClusterConfig::small(1, 0, VariantFlags::SBFT);
+        // Client A sends one request; client B sends 330 more.
+        config.workload = Workload::Explicit(vec![vec![put(0)], (1..=330).map(put).collect()]);
+        let mut cluster = Cluster::build(config);
+        cluster.sim.start();
+        let a_committed = |cluster: &Cluster| {
+            (1..=4).any(|s| {
+                cluster
+                    .replica(0)
+                    .committed_block(SeqNum::new(s))
+                    .is_some_and(|reqs| reqs.iter().any(|r| r.client.get() == 0))
+            })
+        };
+        while !a_committed(&cluster) {
+            assert!(
+                cluster.sim.step(),
+                "the simulation ran dry before A committed"
+            );
+        }
+        // Cut A off right after its request commits: the execute-ack,
+        // and every reply to its retries while cut off, is lost.
+        let cut = cluster.sim.now();
+        let heal = cut + SimDuration::from_secs(10);
+        let a = cluster.client_node(0);
+        cluster.sim.network_mut().set_node_deaf(a, cut, heal);
+        let b_before = cluster.client(1).completed;
+        cluster.sim.run_until(heal);
+        assert_eq!(cluster.client(0).completed, 0, "A's ack was lost");
+        assert!(
+            cluster.client(1).completed - b_before >= 300,
+            "B committed at least 300 requests while A was cut off"
+        );
+        for r in 0..4 {
+            assert!(
+                cluster.replica(r).last_stable().get() >= 256,
+                "replica {r}'s checkpoints passed A's request"
+            );
+        }
+        let replies_before = cluster.sim.metrics().label_count("reply");
+        cluster.sim.run_for(SimDuration::from_secs(60));
+        assert_eq!(cluster.client(0).completed, 1, "A completes after the heal");
+        assert!(
+            cluster.sim.metrics().label_count("reply") - replies_before >= 2,
+            "A completed from f+1 replies"
+        );
+        cluster.assert_agreement();
+    }
+
     #[test]
     fn larger_cluster_commits() {
         // f=3, c=1 → n=12: a mid-size cluster exercising rotation.

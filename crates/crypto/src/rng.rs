@@ -1,6 +1,6 @@
 //! Deterministic pseudo-randomness for key generation and batch
 //! verification. Not a substitute for an OS CSPRNG — this repository is a
-//! deterministic simulation (see `DESIGN.md` §5).
+//! deterministic simulation (see the README "Substitutions" section).
 
 /// SplitMix64: a tiny, high-quality 64-bit PRNG used to derive all
 /// cryptographic setup randomness from a single seed.

@@ -1,7 +1,7 @@
 //! Deterministic discrete-event WAN simulator for the SBFT reproduction.
 //!
 //! Replaces the paper's real geo-distributed deployment (§IX) with a
-//! reproducible model (see `DESIGN.md` §2 for the substitution argument):
+//! reproducible model (see the README "Substitutions" section):
 //!
 //! - [`Topology`]: the paper's two deployments — continent scale (5
 //!   regions × 2 AZs) and world scale (15 regions) — as one-way latency

@@ -1,5 +1,5 @@
 //! The actor interface: nodes are pure state machines driven by the
-//! simulator ("sans-IO", `DESIGN.md` §5).
+//! simulator ("sans-IO"; see the README "Substitutions" section).
 
 use crate::metrics::Metrics;
 use crate::rng::SimRng;
