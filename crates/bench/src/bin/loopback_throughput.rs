@@ -6,11 +6,12 @@
 //!
 //! Flags: `--quick` (short window), `--clients a,b,c` (sweep points),
 //! `--verify-threads N` (verification pipeline workers per replica;
-//! 0 = auto from core count, 1 = bypass), `--exec-threads N` (execution
-//! pipeline: 0 = auto, 1 = inline on the node thread, ≥2 = offloaded
-//! with that many wave workers), `--json PATH` (machine-readable
-//! result file, default `BENCH_loopback.json`), `--no-json`, `--no-trace`
-//! (disable per-request phase tracing — the A/B switch for measuring the
+//! 0 = auto from core count, 1 = checks on the node thread),
+//! `--exec-threads N` (execution pipeline: 0 = auto, 1 = inline on the
+//! node thread, ≥2 = offloaded with that many wave workers),
+//! `--json PATH` (machine-readable result file, default
+//! `BENCH_loopback.json`), `--no-json`, `--no-trace` (disable
+//! per-request phase tracing — the A/B switch for measuring the
 //! telemetry layer's overhead), `--data-dir <dir>` (durable WAL +
 //! checkpoint snapshots at the default `batch:8` fsync — the A/B switch
 //! for measuring the durability layer's overhead).
@@ -39,7 +40,7 @@ struct Args {
     clients: Vec<usize>,
     verbose: bool,
     smoke_floor: Option<f64>,
-    /// 0 = auto (core count), 1 = pipeline bypassed.
+    /// 0 = auto (core count), 1 = checks on the node thread.
     verify_threads: usize,
     /// 0 = auto, 1 = inline execution, >= 2 = offloaded wave workers.
     exec_threads: usize,
@@ -417,18 +418,16 @@ fn measure(clients: usize, args: &Args) -> Point {
                 stats.dropped,
                 stats.handshake_rejects,
             );
-            if let Some(pool) = pool {
-                eprintln!(
-                    "  replica {r} verify-pool: {} in / {} released, {} decode errs, \
-                     {} rejects, {} batches ({:.1} frames/batch)",
-                    pool.frames_in,
-                    pool.released,
-                    pool.decode_errors,
-                    pool.verify_rejects,
-                    pool.batches,
-                    pool.frames_in as f64 / pool.batches.max(1) as f64,
-                );
-            }
+            eprintln!(
+                "  replica {r} verify-pool: {} in / {} released, {} decode errs, \
+                 {} rejects, {} batches ({:.1} frames/batch)",
+                pool.frames_in,
+                pool.released,
+                pool.decode_errors,
+                pool.verify_rejects,
+                pool.batches,
+                pool.frames_in as f64 / pool.batches.max(1) as f64,
+            );
         }
     }
     let committed = window_latencies.len() as u64;

@@ -8,7 +8,8 @@
 //! sign-state shares (π share verification, RLC-batched), 1 pre-prepare
 //! carrying 4 requests, 1 full-execute-proof (combined signature).
 //!
-//! Flags: `--threads a,b,c` (worker counts to sweep; default 1,2,4),
+//! Flags: `--threads a,b,c` (worker counts to sweep, 1 = screened on the
+//! receiving thread; default 1,2,4),
 //! `--frames N` (default 20000), `--json PATH`
 //! (default `BENCH_verify_pipeline.json`), `--no-json`, `--smoke`
 //! (tiny run + sanity gate, for CI).
@@ -159,8 +160,8 @@ fn measure(frames: &[(usize, Vec<u8>)], threads: usize, verifier: Arc<SbftPreVer
         rx,
         verifier,
         threads,
-        sbft::deploy::VERIFY_BATCH,
-        sbft::deploy::VERIFY_QUEUE,
+        sbft::transport::verify::VERIFY_BATCH,
+        sbft::transport::verify::VERIFY_QUEUE,
         &sbft::telemetry::Registry::new(),
     );
     let started = Instant::now();

@@ -163,7 +163,6 @@ fn spawn_replica(
                 replica,
                 transport,
                 node_seed(seed, r),
-                keys.public.clone(),
                 spec.verify_threads,
                 spec.exec_threads,
                 || Box::new(KvService::new()),
@@ -369,7 +368,8 @@ impl TcpRun {
             // Always exercise the parallel verification pipeline under
             // chaos: 2 workers per replica forces the reorder/release
             // machinery into every fault schedule even on a 1-core host
-            // (where the deploy default would bypass it).
+            // (where the deploy default would check frames on the node
+            // thread).
             verify_threads: 2,
             // Likewise for the execution pipeline: the executor-thread
             // handoff, completion wake, and crash-between-commit-and-ack

@@ -43,7 +43,6 @@ pub mod keys;
 pub mod liveness;
 pub mod messages;
 pub mod persist;
-pub mod pipelined;
 pub mod replica;
 pub mod testkit;
 pub mod verify;
@@ -58,7 +57,6 @@ pub use keys::{
 pub use liveness::{EwmaEstimator, FailureDetector, FastPathHysteresis, TimeoutController};
 pub use messages::{ClientRequest, CommitCert, SbftMsg};
 pub use persist::{DurabilityImage, RecoveredState, ReplicaDurability};
-pub use pipelined::{chained_block_digest, select_chain_head, PipelinedChoice, PipelinedSummary};
 pub use replica::{Behavior, ReplicaNode};
 pub use testkit::{
     invariant_violation, make_client, make_replica, Cluster, ClusterConfig, ReplicaSnapshot,

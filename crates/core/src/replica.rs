@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use sbft_types::{ClientId, Digest, ReplicaId, SeqNum, ViewNum};
 
-use sbft_crypto::{CryptoCostModel, PkiSignature, Signature, SignatureShare};
-use sbft_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerId};
+use sbft_crypto::{CryptoCostModel, Signature, SignatureShare};
+use sbft_sim::{Context, InboundVerifier, Node, NodeId, SimDuration, SimTime, TimerId};
 use sbft_statedb::{
     combine_state_digest, Block, Checkpoint, ChunkAssembler, Ledger, Service, Snapshot, StateChunk,
 };
@@ -40,7 +40,7 @@ use crate::messages::{
     NewViewMsg, SbftMsg, SlowEvidence, VcEntry, ViewChangeMsg,
 };
 use crate::persist::{DurabilityImage, RecoveredState, ReplicaDurability};
-use crate::verify::{ShareKind, ShareVerifyMap};
+use crate::verify::{SbftPreVerifier, ShareKind, ShareVerifyMap};
 use crate::viewchange::{compute_plan, validate_view_change, NewViewPlan, SlotDecision};
 
 /// Timer token kinds (token = kind | payload << 8).
@@ -156,16 +156,15 @@ pub struct ReplicaNode {
     /// shares; combine sites skip the batch pairing when every share they
     /// hold was marked (see [`crate::verify::ShareVerifyMap`]).
     shares: Option<std::sync::Arc<ShareVerifyMap>>,
+    /// The trust boundary every driver runs on messages from other nodes
+    /// (see [`Node::inbound_verifier`]): client request signatures, π
+    /// shares and proofs over carried digests, view-change evidence,
+    /// state chunks, block fills and heartbeats are checked there, so
+    /// handlers only charge the modeled cost. Checks that depend on
+    /// replica state (block digests only the log knows) run here.
+    verifier: Arc<SbftPreVerifier>,
     cost: CryptoCostModel,
     behavior: Behavior,
-    /// Inbound messages were already decoded **and verified** by the
-    /// transport's parallel verification pipeline (see
-    /// `crate::verify::SbftPreVerifier`): handlers skip the stateless
-    /// checks the pipeline covers — client request signatures, π
-    /// shares/proofs over carried digests, view-change evidence — along
-    /// with their CPU charges. Checks that depend on replica state (block
-    /// digests only the log knows) always run here.
-    inbound_preverified: bool,
 
     view: ViewNum,
     in_view_change: bool,
@@ -190,23 +189,6 @@ pub struct ReplicaNode {
     last_block_len: usize,
     /// Highest proposed timestamp per client (primary-side dedup).
     proposed_table: HashMap<u32, u64>,
-    /// Requests whose client signature this replica already verified,
-    /// keyed by `(client, timestamp)` with the verified signature **and
-    /// the op digest** as the value: a forwarded request verified in
-    /// `handle_request` is not re-verified (or re-charged) when the same
-    /// request arrives inside a pre-prepare — the cost model charges
-    /// once per unique verification, mirroring the digest-deduped real
-    /// code path. Both stored fields must match for a hit: comparing the
-    /// signature alone would let a Byzantine primary splice a *copied*
-    /// valid signature onto a different op and ride the memo past
-    /// verification. Entries drain on execution, with a size guard for
-    /// requests that never commit.
-    verified_requests: HashMap<(u32, u64), (PkiSignature, Digest)>,
-    /// Insertion order of `verified_requests` keys, for FIFO eviction at
-    /// the cap (oldest entries re-verify; newest — the ones still likely
-    /// to ride a pre-prepare — stay memoized). Compacted periodically to
-    /// shed keys already drained by execution.
-    verified_order: VecDeque<(u32, u64)>,
 
     // Execution bookkeeping.
     /// Each client's latest executed request, kept to answer its retries.
@@ -292,9 +274,9 @@ impl ReplicaNode {
             id,
             engine: ExecEngine::inline(service),
             shares: None,
+            verifier: Arc::new(SbftPreVerifier::new(keys.public.clone())),
             cost,
             behavior: Behavior::Honest,
-            inbound_preverified: false,
             view: ViewNum::ZERO,
             in_view_change: false,
             slots: BTreeMap::new(),
@@ -308,8 +290,6 @@ impl ReplicaNode {
             batch_timer_set: false,
             last_block_len: 0,
             proposed_table: HashMap::new(),
-            verified_requests: HashMap::new(),
-            verified_order: VecDeque::new(),
             client_table: HashMap::new(),
             forwarded: HashMap::new(),
             vc_messages: BTreeMap::new(),
@@ -339,14 +319,6 @@ impl ReplicaNode {
         self.behavior = behavior;
     }
 
-    /// Declares that inbound messages arrive through a verification
-    /// pipeline that already performed every stateless check (defaults to
-    /// off: the simulator and single-threaded runtimes deliver raw
-    /// messages). Self-sent (loopback) messages are trusted either way.
-    pub fn set_inbound_preverified(&mut self, preverified: bool) {
-        self.inbound_preverified = preverified;
-    }
-
     /// Moves block execution off this node's thread: committed blocks are
     /// handed to `pool`'s executor thread and their effects (replies,
     /// π shares, acks) are emitted as completions drain — triggered by the
@@ -363,12 +335,14 @@ impl ReplicaNode {
         self.engine = ExecEngine::offloaded(pool);
     }
 
-    /// Attaches the slot-digest map shared with the verification
-    /// pipeline (pair with
-    /// [`crate::verify::SbftPreVerifier::with_shares`]): enables σ/τ
-    /// share pre-verification on the pipeline's workers and the
-    /// combine-time fast path here.
+    /// Attaches a slot-digest map to this replica and its inbound
+    /// verifier ([`crate::verify::SbftPreVerifier::with_shares`]):
+    /// enables σ/τ share pre-verification wherever the verifier runs and
+    /// the combine-time fast path here. Call before handing the replica
+    /// to a driver.
     pub fn set_share_map(&mut self, shares: std::sync::Arc<ShareVerifyMap>) {
+        self.verifier =
+            Arc::new(SbftPreVerifier::new(self.public.clone()).with_shares(Arc::clone(&shares)));
         self.shares = Some(shares);
     }
 
@@ -630,68 +604,8 @@ impl ReplicaNode {
 
     // ---------- client requests & batching (primary) ----------
 
-    /// Bound on the verified-request memo (requests that never execute
-    /// would otherwise pin entries forever; clearing only costs a
-    /// re-verification).
-    const VERIFIED_REQUESTS_CAP: usize = 65_536;
-
-    /// Verifies a client request's signature exactly **once** per unique
-    /// `(client, timestamp, signature, op)`. Re-arrivals of an
-    /// already-verified request — the same request forwarded to the
-    /// primary and then read back out of its pre-prepare — skip both the
-    /// check and the CPU charge (the cost model used to double-charge
-    /// this). Pipeline-verified inbound skips the check but still records
-    /// the request as verified. A memo hit requires the signature *and*
-    /// the op digest to match byte-for-byte: a same-timestamp forgery,
-    /// including a copied valid signature spliced onto a different op,
-    /// never rides a cache hit. (One op hash on a hit is still far
-    /// cheaper than the full HMAC verification it replaces.)
-    /// Eviction is FIFO by insertion order — a view change that abandons
-    /// slots no longer strands their entries until a wholesale clear.
-    fn check_request_signature(
-        &mut self,
-        ctx: &mut Context<'_, SbftMsg>,
-        request: &ClientRequest,
-    ) -> bool {
-        let key = (request.client.get(), request.timestamp);
-        if let Some((sig, op_digest)) = self.verified_requests.get(&key) {
-            if *sig == request.signature.0 && *op_digest == sbft_crypto::sha256(&request.op) {
-                return true;
-            }
-        }
-        if !self.inbound_preverified {
-            ctx.charge_cpu_ns(self.cost.verify_request());
-            if !request.verify(&self.public.client_keys(request.client)) {
-                return false;
-            }
-        }
-        while self.verified_requests.len() >= Self::VERIFIED_REQUESTS_CAP {
-            let Some(oldest) = self.verified_order.pop_front() else {
-                self.verified_requests.clear();
-                break;
-            };
-            self.verified_requests.remove(&oldest);
-        }
-        if self
-            .verified_requests
-            .insert(key, (request.signature.0, sbft_crypto::sha256(&request.op)))
-            .is_none()
-        {
-            self.verified_order.push_back(key);
-        }
-        // Executed requests leave the map but linger in the order queue;
-        // compact once the queue outgrows the map enough to matter.
-        if self.verified_order.len() >= self.verified_requests.len().saturating_mul(2) + 1024 {
-            let live = &self.verified_requests;
-            self.verified_order.retain(|k| live.contains_key(k));
-        }
-        true
-    }
-
     fn handle_request(&mut self, ctx: &mut Context<'_, SbftMsg>, request: ClientRequest) {
-        if !self.check_request_signature(ctx, &request) {
-            return;
-        }
+        ctx.charge_cpu_ns(self.cost.verify_request());
         let key = (request.client.get(), request.timestamp);
         if let Some(last) = self.client_table.get(&key.0) {
             // Already executed: answer directly (client retry path, §V-A).
@@ -878,17 +792,14 @@ impl ReplicaNode {
                 }
             }
         }
-        // Validate client request signatures — each charged and checked
-        // once per unique request, not once per message it rides in (a
-        // forwarded request verified in `handle_request` is free here).
-        // Stamped first, so the verify component covers these checks.
         for r in &requests {
             self.trace_phase(ctx, r.client.get(), r.timestamp, Phase::PrePrepared);
         }
-        for r in &requests {
-            if !self.check_request_signature(ctx, r) {
-                return;
-            }
+        // The boundary checked the client signatures of a backup's
+        // pre-prepare; the primary's own carries requests it already
+        // paid for when they arrived.
+        if from != self.id.as_usize() {
+            ctx.charge_cpu_ns(self.cost.verify_request() * requests.len() as u64);
         }
         ctx.charge_cpu_ns(
             self.cost
@@ -1444,9 +1355,6 @@ impl ReplicaNode {
                 let key = (request.client.get(), request.timestamp);
                 self.trace_phase(ctx, key.0, key.1, Phase::Executed);
                 self.forwarded.remove(&key);
-                // Executed requests are deduped by the client table from
-                // here on; their verification memo entry has done its job.
-                self.verified_requests.remove(&key);
                 if self
                     .client_table
                     .get(&key.0)
@@ -1574,17 +1482,12 @@ impl ReplicaNode {
         };
         let shares: Vec<SignatureShare> = shares_map.values().copied().collect();
         slot.exec_proof_sent = true;
-        // π shares carry their digest on the wire, so the verification
-        // pipeline checked them at ingress; combining can skip the
-        // redundant per-share pairing checks.
+        // π shares carry their digest on the wire, so the inbound
+        // boundary checked each against it (our own share is trusted);
+        // combining skips the per-share pairing checks it charges for.
         ctx.charge_cpu_ns(self.cost.combine_threshold(pi_threshold));
-        let combined = if self.inbound_preverified {
-            self.public.pi.combine_preverified(&shares)
-        } else {
-            ctx.charge_cpu_ns(self.cost.batch_verify_shares(shares.len()));
-            self.public.pi.combine(DOMAIN_PI, &digest, &shares)
-        };
-        let Ok(pi) = combined else {
+        ctx.charge_cpu_ns(self.cost.batch_verify_shares(shares.len()));
+        let Ok(pi) = self.public.pi.combine_preverified(&shares) else {
             return;
         };
         self.broadcast(ctx, &SbftMsg::FullExecuteProof { seq, digest, pi });
@@ -1653,14 +1556,9 @@ impl ReplicaNode {
         if seq.get() <= self.last_stable.get() {
             return;
         }
-        // The execute proof binds only data it carries (digest + π), so
-        // the pipeline verified it off-thread when enabled.
-        if !self.inbound_preverified {
-            ctx.charge_cpu_ns(self.cost.verify_signature());
-            if !self.public.pi.verify_either(DOMAIN_PI, &digest, &pi) {
-                return;
-            }
-        }
+        // The execute proof binds only data it carries (digest + π): the
+        // inbound boundary verified it.
+        ctx.charge_cpu_ns(self.cost.verify_signature());
         // Far ahead of us: we are lagging badly — fetch state (§VIII).
         if seq.get() > self.last_executed.get() + self.config.window {
             self.request_state_transfer(ctx, from);
@@ -1822,15 +1720,11 @@ impl ReplicaNode {
             return;
         }
         // View-change evidence is self-contained (certificates over
-        // blocks the message itself carries); pipeline-verified when
-        // enabled. New-view quorums are always re-validated below — the
-        // per-message filter there decides liveness, not just validity.
-        if !self.inbound_preverified {
-            ctx.charge_cpu_ns(self.cost.verify_signature() * (1 + vc.entries.len() as u64));
-            if !validate_view_change(&self.public, &vc) {
-                return;
-            }
-        }
+        // blocks the message itself carries): the inbound boundary
+        // validated it. New-view quorums are re-validated per entry in
+        // `handle_new_view` — that filter decides liveness, not just
+        // validity.
+        ctx.charge_cpu_ns(self.cost.verify_signature() * (1 + vc.entries.len() as u64));
         let entry = self.vc_messages.entry(vc.new_view.get()).or_default();
         entry.insert(vc.from.get(), vc.clone());
 
@@ -2103,12 +1997,8 @@ impl ReplicaNode {
             return;
         }
         let digest = combine_state_digest(chunk.seq, &state_root, &results_root);
-        if !self.inbound_preverified {
-            ctx.charge_cpu_ns(self.cost.verify_signature());
-            if !self.public.pi.verify_either(DOMAIN_PI, &digest, &pi) {
-                return;
-            }
-        }
+        // The inbound boundary verified π over the chunk's state digest.
+        ctx.charge_cpu_ns(self.cost.verify_signature());
         self.assembler.add(chunk);
         self.chunk_cert = Some((state_root, results_root, pi));
         let Some((seq, state)) = self.assembler.try_assemble() else {
@@ -2175,22 +2065,10 @@ impl ReplicaNode {
             return;
         }
         let h = block_digest(seq, view, &requests);
-        // A block fill is self-contained (block + certificate), so the
-        // pipeline verified the certificate against the recomputed block
-        // digest off-thread when enabled.
-        if !self.inbound_preverified {
-            ctx.charge_cpu_ns(self.cost.verify_signature());
-            let valid = match &cert {
-                CommitCert::Fast(sigma) => self.public.sigma.verify_either(DOMAIN_SIGMA, &h, sigma),
-                CommitCert::Slow(tau2) => {
-                    let d2 = commit2_digest(seq, view, &h);
-                    self.public.tau.verify_either(DOMAIN_TAU, &d2, tau2)
-                }
-            };
-            if !valid {
-                return;
-            }
-        }
+        // A block fill is self-contained (block + certificate): the
+        // inbound boundary verified the certificate against the
+        // recomputed block digest.
+        ctx.charge_cpu_ns(self.cost.verify_signature());
         {
             let slot = self.slot(seq);
             if slot.committed {
@@ -2455,23 +2333,13 @@ impl ReplicaNode {
         from: NodeId,
         claimed: ReplicaId,
         sent_at_ns: u64,
-        last_executed: SeqNum,
         share: SignatureShare,
     ) {
         if from >= self.n() || claimed.as_usize() != from || share.index() != (from + 1) as u16 {
             return;
         }
-        // Heartbeats are off the hot path and not covered by the
-        // transport's pre-verifier: always check the τ share here.
+        // The inbound boundary verified the τ share over the heartbeat.
         ctx.charge_cpu_ns(self.cost.verify_signature());
-        let digest = heartbeat_digest(claimed, sent_at_ns, last_executed);
-        if !self
-            .public
-            .tau
-            .verify_share(DOMAIN_HEARTBEAT, &digest, &share)
-        {
-            return;
-        }
         // Liveness was already noted at dispatch; answer so the sender
         // gets an RTT sample off its own clock.
         ctx.charge_cpu_ns(self.cost.sign_share());
@@ -2494,21 +2362,13 @@ impl ReplicaNode {
         from: NodeId,
         claimed: ReplicaId,
         origin_sent_at_ns: u64,
-        last_executed: SeqNum,
         share: SignatureShare,
     ) {
         if from >= self.n() || claimed.as_usize() != from || share.index() != (from + 1) as u16 {
             return;
         }
+        // The inbound boundary verified the τ share over the echo.
         ctx.charge_cpu_ns(self.cost.verify_signature());
-        let digest = heartbeat_digest(claimed, origin_sent_at_ns, last_executed);
-        if !self
-            .public
-            .tau
-            .verify_share(DOMAIN_HEARTBEAT, &digest, &share)
-        {
-            return;
-        }
         // `origin_sent_at_ns` is our own clock at send time, so the
         // difference is a round-trip sample (a replayed stale echo can
         // only inflate it — RTT feeds telemetry, not safety).
@@ -2519,6 +2379,10 @@ impl ReplicaNode {
 
 impl Node<SbftMsg> for ReplicaNode {
     sbft_sim::impl_node_any!();
+
+    fn inbound_verifier(&self) -> Option<Arc<dyn InboundVerifier<SbftMsg>>> {
+        Some(self.verifier.clone())
+    }
 
     fn on_start(&mut self, ctx: &mut Context<'_, SbftMsg>) {
         self.apply_recovery(ctx);
@@ -2615,22 +2479,15 @@ impl Node<SbftMsg> for ReplicaNode {
             SbftMsg::Heartbeat {
                 from: claimed,
                 sent_at_ns,
-                last_executed,
                 share,
-            } => self.handle_heartbeat(ctx, from, claimed, sent_at_ns, last_executed, share),
+                ..
+            } => self.handle_heartbeat(ctx, from, claimed, sent_at_ns, share),
             SbftMsg::HeartbeatEcho {
                 from: claimed,
                 origin_sent_at_ns,
-                last_executed,
                 share,
-            } => self.handle_heartbeat_echo(
-                ctx,
-                from,
-                claimed,
-                origin_sent_at_ns,
-                last_executed,
-                share,
-            ),
+                ..
+            } => self.handle_heartbeat_echo(ctx, from, claimed, origin_sent_at_ns, share),
         }
     }
 
@@ -2753,70 +2610,6 @@ mod tests {
     use sbft_sim::{Metrics, SimRng, SimTime};
     use sbft_statedb::KvService;
 
-    /// Regression: the verified-request memo must not let a Byzantine
-    /// primary splice a *copied* valid signature onto a different op. The
-    /// backup verifies a genuine request on the forward path (memoizing
-    /// it), then receives a pre-prepare carrying the same
-    /// `(client, timestamp, signature)` with a tampered op — the memo
-    /// binds the op digest, so the forgery goes through full
-    /// verification and is rejected.
-    #[test]
-    fn copied_signature_on_different_op_never_rides_the_memo() {
-        let config = ProtocolConfig::new(1, 0, VariantFlags::SBFT);
-        let keys = KeyMaterial::generate(&config, 0x5eed);
-        let mut node = ReplicaNode::new(
-            config.clone(),
-            ReplicaId::new(1),
-            &keys,
-            Box::new(KvService::new()),
-            CryptoCostModel::free(),
-        );
-        let client = ClientId::new(0);
-        let genuine = ClientRequest::signed(
-            client,
-            1,
-            b"put k v".to_vec(),
-            &keys.public.client_keys(client),
-        );
-        let mut forged = genuine.clone();
-        forged.op = b"put k EVIL".to_vec();
-
-        let mut rng = SimRng::new(0);
-        let mut metrics = Metrics::new(false);
-        let mut next_timer_id = 0u64;
-        let mut drive = |node: &mut ReplicaNode, from: NodeId, msg: SbftMsg| {
-            let mut ctx =
-                Context::external(SimTime::ZERO, 1, &mut rng, &mut metrics, &mut next_timer_id);
-            node.on_message(from, msg, &mut ctx);
-            ctx.into_effects()
-        };
-        // Genuine request arrives from the client: verified + memoized.
-        drive(&mut node, config.n(), SbftMsg::Request(genuine));
-        assert_eq!(node.verified_requests.len(), 1);
-        // The primary's pre-prepare carries the forged variant: it must
-        // be rejected (no sign-share produced, block not accepted).
-        let effects = drive(
-            &mut node,
-            0,
-            SbftMsg::PrePrepare {
-                seq: SeqNum::new(1),
-                view: ViewNum::ZERO,
-                requests: vec![forged],
-            },
-        );
-        assert!(
-            effects.sends.is_empty(),
-            "forged pre-prepare must not trigger a sign-share"
-        );
-        assert!(
-            node.slots
-                .get(&1)
-                .map(|s| s.requests.is_none())
-                .unwrap_or(true),
-            "forged block must not be accepted into the slot"
-        );
-    }
-
     /// Regression: collector share accumulations and the pre-verifier's
     /// slot-digest map used to drain only when a slot executed — a view
     /// change that abandoned the slot left both growing until checkpoint
@@ -2877,45 +2670,6 @@ mod tests {
         let slot = node.slots.get(&seq.get()).expect("slot still tracked");
         assert!(slot.sigma_shares.is_empty(), "σ shares dropped");
         assert!(slot.tau_shares.is_empty(), "τ shares dropped");
-    }
-
-    /// Regression: the verified-request memo used to clear wholesale at
-    /// the cap; it now evicts FIFO so the newest entries (the ones still
-    /// likely to ride a pre-prepare) survive, and the order queue itself
-    /// stays bounded as executed requests drain out of the map.
-    #[test]
-    fn verified_request_memo_evicts_fifo_and_bounds_its_order_queue() {
-        let config = ProtocolConfig::new(1, 0, VariantFlags::SBFT);
-        let keys = KeyMaterial::generate(&config, 0x5eed);
-        let mut node = ReplicaNode::new(
-            config.clone(),
-            ReplicaId::new(1),
-            &keys,
-            Box::new(KvService::new()),
-            CryptoCostModel::free(),
-        );
-        // Preverified inbound: inserts memoize without real verification,
-        // so filling past the cap is cheap.
-        node.set_inbound_preverified(true);
-        let client = ClientId::new(0);
-        let client_keys = keys.public.client_keys(client);
-        let mut rng = SimRng::new(0);
-        let mut metrics = Metrics::new(false);
-        let mut next_timer_id = 0u64;
-        let total = ReplicaNode::VERIFIED_REQUESTS_CAP + 100;
-        for ts in 1..=total as u64 {
-            let request = ClientRequest::signed(client, ts, b"op".to_vec(), &client_keys);
-            let mut ctx =
-                Context::external(SimTime::ZERO, 1, &mut rng, &mut metrics, &mut next_timer_id);
-            node.check_request_signature(&mut ctx, &request);
-            drop(ctx.into_effects());
-        }
-        assert!(node.verified_requests.len() <= ReplicaNode::VERIFIED_REQUESTS_CAP);
-        // FIFO: the first 100 timestamps were evicted, the newest stay.
-        assert!(!node.verified_requests.contains_key(&(0, 1)));
-        assert!(node.verified_requests.contains_key(&(0, total as u64)));
-        // The order queue never grows far past the map it indexes.
-        assert!(node.verified_order.len() <= node.verified_requests.len() * 2 + 1024);
     }
 
     /// Regression for the quiescent-rejoin gap: state transfer used to

@@ -1,17 +1,18 @@
-//! Stateless pre-verification of inbound SBFT messages, run off the
-//! replica thread by the transport's parallel verification pipeline.
+//! The replica's trust boundary: stateless verification of inbound SBFT
+//! messages.
 //!
 //! SBFT's expensive per-message work splits cleanly in two (§III, §VIII):
 //! checks that bind only data the message itself carries — client PKI
 //! signatures, π shares and proofs over a carried state digest,
 //! self-contained view-change evidence, block fills with their commit
-//! certificates — and checks that need replica state (a σ/τ signature
-//! over a block digest only the log knows). [`SbftPreVerifier`] performs
-//! the first kind on a pool of worker threads so the single-threaded
-//! sans-IO node only consumes pre-verified envelopes; the node keeps the
-//! second kind (and, with
-//! [`crate::replica::ReplicaNode::set_inbound_preverified`], skips the
-//! first).
+//! certificates, heartbeats — and checks that need replica state (a σ/τ
+//! signature over a block digest only the log knows). [`SbftPreVerifier`]
+//! performs the first kind and is the replica's only copy of it: a
+//! [`crate::replica::ReplicaNode`] hands its verifier to every driver
+//! (`sbft_sim::Node::inbound_verifier`), the simulator runs it before
+//! each delivery from another node, and the TCP runtime runs it on the
+//! node thread or on a pool of worker threads. The node keeps the second
+//! kind.
 //!
 //! Signature shares across a whole drained batch are checked with one
 //! random-linear-combination multi-pairing
@@ -148,8 +149,8 @@ impl ShareVerifyMap {
     }
 }
 
-/// Decoder + stateless verifier for [`SbftMsg`], shared by every worker
-/// of a `sbft_transport::VerifyPool`.
+/// Decoder + stateless verifier for [`SbftMsg`]: a replica's inbound
+/// trust boundary, shared by every worker of a `sbft_transport::VerifyPool`.
 pub struct SbftPreVerifier {
     public: Arc<PublicKeys>,
     /// Monotone batch counter mixed into the RLC seed derivation (keeps
@@ -241,9 +242,9 @@ impl SbftPreVerifier {
             SbftMsg::FullExecuteProof { digest, pi, .. } => {
                 public.pi.verify_either(DOMAIN_PI, digest, pi)
             }
-            // Client-bound; replicas ignore acks, and clients run the
-            // direct path today — checked anyway so the verifier stays
-            // total over the message type.
+            // Client-bound; replicas ignore acks, and clients check
+            // their own — checked anyway so the verifier stays total
+            // over the message type.
             SbftMsg::ExecuteAck { digest, pi, .. } => {
                 public.pi.verify_either(DOMAIN_PI, digest, pi)
             }
@@ -272,10 +273,8 @@ impl SbftPreVerifier {
                 }
             }
             SbftMsg::ViewChange(vc) => validate_view_change(public, vc),
-            // Heartbeats are fully stateless: drop forged ones at the
-            // transport edge. (The node re-checks — the simulator path
-            // has no pre-verifier — but heartbeats are rare enough that
-            // the duplicate check costs nothing that matters.)
+            // Heartbeats are fully stateless: forged ones never reach
+            // the failure detector.
             SbftMsg::Heartbeat {
                 from,
                 sent_at_ns,
@@ -451,8 +450,15 @@ mod tests {
     use super::*;
     use crate::config::{ProtocolConfig, VariantFlags};
     use crate::keys::KeyMaterial;
-    use sbft_crypto::{sha256, GroupElement, SignatureShare};
-    use sbft_types::{ClientId, SeqNum, ViewNum};
+    use crate::messages::{FastEvidence, SlowEvidence, VcEntry, ViewChangeMsg};
+    use crate::replica::ReplicaNode;
+    use sbft_crypto::{
+        sha256, CryptoCostModel, GroupElement, MerkleProof, Signature, SignatureShare, SplitMix64,
+        ThresholdPublicKey,
+    };
+    use sbft_sim::{Context, Effects, Metrics, Node, SimRng, SimTime};
+    use sbft_statedb::{ExecutionProof, KvService, StateChunk};
+    use sbft_types::{ClientId, ReplicaId, SeqNum, ViewNum};
 
     fn setup() -> (ProtocolConfig, KeyMaterial, SbftPreVerifier) {
         let config = ProtocolConfig::new(1, 0, VariantFlags::SBFT);
@@ -466,6 +472,169 @@ mod tests {
         ClientRequest::signed(client, ts, b"op".to_vec(), &keys.public.client_keys(client))
     }
 
+    /// A combined signature over `digest` from the first `threshold`
+    /// signers, whose shares `sign` produces.
+    fn certify(
+        public: &ThresholdPublicKey,
+        domain: &[u8],
+        digest: &Digest,
+        sign: impl Fn(usize) -> SignatureShare,
+    ) -> Signature {
+        let shares: Vec<_> = (0..public.threshold()).map(sign).collect();
+        public
+            .combine(domain, digest, &shares)
+            .expect("threshold combines")
+    }
+
+    /// One genuine and one forged instance of every message kind the
+    /// verifier checks, as `(kind, genuine, forged)`. Each forgery reuses
+    /// a genuine signature on content it does not cover.
+    fn genuine_and_forged(keys: &KeyMaterial) -> Vec<(&'static str, SbftMsg, SbftMsg)> {
+        let (public, replicas) = (&keys.public, &keys.replicas);
+        let (seq, view) = (SeqNum::new(1), ViewNum::ZERO);
+        let good = request(keys, 1);
+        let mut copied = good.clone();
+        copied.op = b"tampered".to_vec();
+        let block = vec![good.clone()];
+        let other_block = vec![request(keys, 2)];
+        let h = block_digest(seq, view, &block);
+        let d2 = commit2_digest(seq, view, &h);
+        let state = sha256(b"state");
+        let other_state = sha256(b"other state");
+        let pi = certify(&public.pi, DOMAIN_PI, &state, |r| {
+            replicas[r].pi.sign(DOMAIN_PI, &state)
+        });
+        let sigma = certify(&public.sigma, DOMAIN_SIGMA, &h, |r| {
+            replicas[r].sigma.sign(DOMAIN_SIGMA, &h)
+        });
+        let tau = certify(&public.tau, DOMAIN_TAU, &h, |r| {
+            replicas[r].tau.sign(DOMAIN_TAU, &h)
+        });
+        let tau2 = certify(&public.tau, DOMAIN_TAU, &d2, |r| {
+            replicas[r].tau.sign(DOMAIN_TAU, &d2)
+        });
+        let (state_root, results_root) = (sha256(b"state root"), sha256(b"results root"));
+        let chunk_digest = combine_state_digest(seq, &state_root, &results_root);
+        let chunk_pi = certify(&public.pi, DOMAIN_PI, &chunk_digest, |r| {
+            replicas[r].pi.sign(DOMAIN_PI, &chunk_digest)
+        });
+        let pre_prepare = |requests| SbftMsg::PrePrepare {
+            seq,
+            view,
+            requests,
+        };
+        let sign_state = |digest| SbftMsg::SignState {
+            seq,
+            digest,
+            share: replicas[0].pi.sign(DOMAIN_PI, &state),
+        };
+        let execute_proof = |digest| SbftMsg::FullExecuteProof { seq, digest, pi };
+        let execute_ack = |digest| SbftMsg::ExecuteAck {
+            seq,
+            index: 0,
+            client: good.client,
+            timestamp: good.timestamp,
+            result: b"ok".to_vec(),
+            digest,
+            pi,
+            proof: ExecutionProof {
+                state_root,
+                result_path: MerkleProof::default(),
+            },
+        };
+        let chunk = |state_root| SbftMsg::StateChunkMsg {
+            chunk: StateChunk {
+                seq,
+                index: 0,
+                total: 1,
+                entries: vec![(b"k".to_vec(), b"v".to_vec())],
+            },
+            state_root,
+            results_root,
+            pi: chunk_pi,
+        };
+        let fill = |seq, cert| SbftMsg::BlockFill {
+            seq,
+            view,
+            requests: block.clone(),
+            cert,
+        };
+        let view_change = |fast_block: &Vec<ClientRequest>| {
+            SbftMsg::ViewChange(ViewChangeMsg {
+                from: ReplicaId::new(2),
+                new_view: ViewNum::new(1),
+                last_stable: SeqNum::ZERO,
+                checkpoint: None,
+                entries: vec![VcEntry {
+                    seq,
+                    slow: SlowEvidence::Prepared {
+                        view,
+                        tau,
+                        requests: block.clone(),
+                    },
+                    fast: FastEvidence::PrePrepared {
+                        view,
+                        share: replicas[2].sigma.sign(DOMAIN_SIGMA, &h),
+                        requests: fast_block.clone(),
+                    },
+                }],
+            })
+        };
+        let beat_from = ReplicaId::new(1);
+        let beat_share = replicas[1]
+            .tau
+            .sign(DOMAIN_HEARTBEAT, &heartbeat_digest(beat_from, 5, seq));
+        let heartbeat = |sent_at_ns| SbftMsg::Heartbeat {
+            from: beat_from,
+            sent_at_ns,
+            last_executed: seq,
+            share: beat_share,
+        };
+        let echo = |origin_sent_at_ns| SbftMsg::HeartbeatEcho {
+            from: beat_from,
+            origin_sent_at_ns,
+            last_executed: seq,
+            share: beat_share,
+        };
+        vec![
+            (
+                "request",
+                SbftMsg::Request(good.clone()),
+                SbftMsg::Request(copied.clone()),
+            ),
+            (
+                "pre-prepare",
+                pre_prepare(block.clone()),
+                pre_prepare(vec![good.clone(), copied]),
+            ),
+            ("sign-state", sign_state(state), sign_state(other_state)),
+            (
+                "execute-proof",
+                execute_proof(state),
+                execute_proof(other_state),
+            ),
+            ("execute-ack", execute_ack(state), execute_ack(other_state)),
+            ("state-chunk", chunk(state_root), chunk(results_root)),
+            (
+                "block-fill fast",
+                fill(seq, CommitCert::Fast(sigma)),
+                fill(seq.next(), CommitCert::Fast(sigma)),
+            ),
+            (
+                "block-fill slow",
+                fill(seq, CommitCert::Slow(tau2)),
+                fill(seq.next(), CommitCert::Slow(tau2)),
+            ),
+            (
+                "view-change",
+                view_change(&block),
+                view_change(&other_block),
+            ),
+            ("heartbeat", heartbeat(5), heartbeat(6)),
+            ("heartbeat-echo", echo(5), echo(6)),
+        ]
+    }
+
     #[test]
     fn decode_round_trips_and_rejects_garbage() {
         let (_, keys, verifier) = setup();
@@ -475,25 +644,101 @@ mod tests {
         assert!(verifier.decode(&[0xff, 0x00, 0x13]).is_none());
     }
 
+    /// The boundary at a glance: genuine and forged instances of every
+    /// checked kind in one batch (forged π shares force the per-item
+    /// fallback of the share batch too).
     #[test]
-    fn client_signatures_are_checked() {
+    fn every_checked_kind_passes_genuine_and_fails_forged() {
         let (_, keys, verifier) = setup();
-        let good = request(&keys, 1);
-        let mut bad = request(&keys, 2);
-        bad.op = b"tampered".to_vec();
-        let batch = vec![
-            (4usize, SbftMsg::Request(good.clone())),
-            (4, SbftMsg::Request(bad.clone())),
-            (
-                0,
-                SbftMsg::PrePrepare {
-                    seq: SeqNum::new(1),
-                    view: ViewNum::ZERO,
-                    requests: vec![good, bad],
-                },
-            ),
-        ];
-        assert_eq!(verifier.verify_batch(&batch), vec![true, false, false]);
+        let cases = genuine_and_forged(&keys);
+        let batch: Vec<(NodeId, SbftMsg)> = cases
+            .iter()
+            .flat_map(|(_, good, forged)| [(1, good.clone()), (1, forged.clone())])
+            .collect();
+        let verdicts = verifier.verify_batch(&batch);
+        for ((kind, ..), verdict) in cases.iter().zip(verdicts.chunks(2)) {
+            assert_eq!(verdict, [true, false], "{kind}");
+        }
+    }
+
+    /// Seeded single-bit flips over every encoding above: decoding and
+    /// verifying a mutant may fail, but never panics.
+    #[test]
+    fn single_bit_flips_never_panic_the_boundary() {
+        let (_, keys, verifier) = setup();
+        let encodings: Vec<Vec<u8>> = genuine_and_forged(&keys)
+            .into_iter()
+            .flat_map(|(_, good, forged)| [good.to_wire_bytes(), forged.to_wire_bytes()])
+            .collect();
+        let mut rng = SplitMix64::new(0xb17_f11b);
+        let mut decoded = 0;
+        for _ in 0..250 {
+            let mut batch = Vec::new();
+            for _ in 0..8 {
+                let mut bytes = encodings[rng.next_u64() as usize % encodings.len()].clone();
+                let bit = rng.next_u64() as usize % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                batch.extend(verifier.decode(&bytes).map(|msg| (1, msg)));
+            }
+            decoded += batch.len();
+            assert_eq!(verifier.verify_batch(&batch).len(), batch.len());
+        }
+        assert!(decoded > 0, "no mutant decoded; verify_batch never ran");
+    }
+
+    /// Delivers `msg` the way every driver does: through the replica's
+    /// own inbound verifier, then its handler. `None` when the verifier
+    /// drops it.
+    fn deliver(node: &mut ReplicaNode, from: NodeId, msg: SbftMsg) -> Option<Effects<SbftMsg>> {
+        let verifier = node.inbound_verifier().expect("replicas screen inbound");
+        let batch = [(from, msg)];
+        if verifier.verify_batch(&batch) != [true] {
+            return None;
+        }
+        let [(_, msg)] = batch;
+        let (mut rng, mut metrics, mut next_timer_id) = (SimRng::new(0), Metrics::new(false), 0);
+        let mut ctx =
+            Context::external(SimTime::ZERO, 1, &mut rng, &mut metrics, &mut next_timer_id);
+        node.on_message(from, msg, &mut ctx);
+        Some(ctx.into_effects())
+    }
+
+    /// A request the replica already accepted does not vouch for a later
+    /// copy: a Byzantine primary that splices the genuine `(client,
+    /// timestamp, signature)` onto a different op is stopped at the
+    /// replica's boundary, and the genuine block is still accepted.
+    #[test]
+    fn copied_signature_on_different_op_never_rides_the_memo() {
+        let (config, keys, _) = setup();
+        let mut node = ReplicaNode::new(
+            config.clone(),
+            ReplicaId::new(1),
+            &keys,
+            Box::new(KvService::new()),
+            CryptoCostModel::free(),
+        );
+        let genuine = request(&keys, 1);
+        let mut forged = genuine.clone();
+        forged.op = b"put k EVIL".to_vec();
+        let pre_prepare = |request: &ClientRequest| SbftMsg::PrePrepare {
+            seq: SeqNum::new(1),
+            view: ViewNum::ZERO,
+            requests: vec![request.clone()],
+        };
+        let client = config.n() + 1;
+        assert!(deliver(&mut node, client, SbftMsg::Request(genuine.clone())).is_some());
+        assert!(
+            deliver(&mut node, 0, pre_prepare(&forged)).is_none(),
+            "the forged pre-prepare must not reach the replica"
+        );
+        let effects = deliver(&mut node, 0, pre_prepare(&genuine)).expect("genuine passes");
+        assert!(
+            effects
+                .sends
+                .iter()
+                .any(|(_, msg)| matches!(msg, SbftMsg::SignShare { .. })),
+            "the genuine block is accepted and signed"
+        );
     }
 
     #[test]
@@ -520,70 +765,6 @@ mod tests {
             share: SignatureShare::from_parts(2, GroupElement::generator()),
         };
         assert_eq!(verifier.verify_batch(&batch), vec![true, false, true]);
-    }
-
-    #[test]
-    fn self_contained_proofs_are_checked() {
-        let (config, keys, verifier) = setup();
-        let digest = sha256(b"executed state");
-        let shares: Vec<_> = keys
-            .replicas
-            .iter()
-            .take(config.pi_threshold())
-            .map(|r| r.pi.sign(DOMAIN_PI, &digest))
-            .collect();
-        let pi = keys.public.pi.combine(DOMAIN_PI, &digest, &shares).unwrap();
-        let good = SbftMsg::FullExecuteProof {
-            seq: SeqNum::new(1),
-            digest,
-            pi,
-        };
-        let forged = SbftMsg::FullExecuteProof {
-            seq: SeqNum::new(1),
-            digest: sha256(b"other state"),
-            pi,
-        };
-        assert_eq!(
-            verifier.verify_batch(&[(0, good), (0, forged)]),
-            vec![true, false]
-        );
-    }
-
-    #[test]
-    fn block_fill_certificates_are_checked() {
-        let (config, keys, verifier) = setup();
-        let requests = vec![request(&keys, 1)];
-        let seq = SeqNum::new(1);
-        let view = ViewNum::ZERO;
-        let h = block_digest(seq, view, &requests);
-        let shares: Vec<_> = keys
-            .replicas
-            .iter()
-            .take(config.tau_threshold())
-            .map(|r| r.tau.sign(DOMAIN_TAU, &commit2_digest(seq, view, &h)))
-            .collect();
-        let tau2 = keys
-            .public
-            .tau
-            .combine(DOMAIN_TAU, &commit2_digest(seq, view, &h), &shares)
-            .unwrap();
-        let good = SbftMsg::BlockFill {
-            seq,
-            view,
-            requests: requests.clone(),
-            cert: CommitCert::Slow(tau2),
-        };
-        // Same cert over a different block must fail.
-        let bad = SbftMsg::BlockFill {
-            seq: SeqNum::new(2),
-            view,
-            requests,
-            cert: CommitCert::Slow(tau2),
-        };
-        assert_eq!(
-            verifier.verify_batch(&[(1, good), (1, bad)]),
-            vec![true, false]
-        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! [`Context::charge_cpu`]; while a node is busy, later deliveries queue
 //! behind it. Outgoing messages leave when the handler's CPU work
 //! completes, then flow through the [`NetworkModel`] (egress bandwidth,
-//! latency, jitter, retransmits, partitions).
+//! latency, jitter, retransmits, partitions). A message from another node
+//! reaches its receiver's handler only if the receiver's
+//! [`Node::inbound_verifier`] accepts it.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -310,6 +312,15 @@ impl<M: SimMessage> Simulation<M> {
                     });
                     return true;
                 }
+                let batch = [(from, msg)];
+                if from != to {
+                    if let Some(verifier) = self.nodes[to].node.inbound_verifier() {
+                        if verifier.verify_batch(&batch) != [true] {
+                            return true; // rejected at the node's trust boundary
+                        }
+                    }
+                }
+                let [(_, msg)] = batch;
                 self.dispatch(to, |n, ctx| n.on_message(from, msg, ctx));
             }
             EventKind::Timer {

@@ -447,4 +447,65 @@ mod tests {
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
         assert_eq!(sim.now().as_secs_f64(), 5.0);
     }
+
+    /// Accepts only even pings from other nodes.
+    struct EvenOnly;
+
+    impl InboundVerifier<Msg> for EvenOnly {
+        fn decode(&self, _payload: &[u8]) -> Option<Msg> {
+            None
+        }
+
+        fn verify_batch(&self, batch: &[(NodeId, Msg)]) -> Vec<bool> {
+            batch
+                .iter()
+                .map(|(_, msg)| matches!(msg, Msg::Ping(n) if n % 2 == 0))
+                .collect()
+        }
+    }
+
+    /// Node 0 sends pings 1..=4 to node 1, which also pings itself with
+    /// 5 and records everything it is handed.
+    struct Gatekeeper {
+        seen: Vec<u64>,
+    }
+
+    impl Node<Msg> for Gatekeeper {
+        crate::impl_node_any!();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            if ctx.id() == 0 {
+                for n in 1..=4 {
+                    ctx.send(1, Msg::Ping(n));
+                }
+            } else {
+                ctx.send(1, Msg::Ping(5));
+            }
+        }
+
+        fn on_message(&mut self, _from: NodeId, msg: Msg, _ctx: &mut Context<'_, Msg>) {
+            if let Msg::Ping(n) = msg {
+                self.seen.push(n);
+            }
+        }
+
+        fn inbound_verifier(&self) -> Option<std::sync::Arc<dyn InboundVerifier<Msg>>> {
+            Some(std::sync::Arc::new(EvenOnly))
+        }
+    }
+
+    #[test]
+    fn inbound_verifier_screens_other_nodes_but_not_self_sends() {
+        let topology = Topology::lan();
+        let placement = Placement::round_robin(&topology, 2, 1);
+        let network = NetworkModel::new(topology, placement, NetworkConfig::default(), 2);
+        let mut sim = Simulation::new(network, 3, false);
+        sim.add_node(Box::new(Gatekeeper { seen: Vec::new() }));
+        sim.add_node(Box::new(Gatekeeper { seen: Vec::new() }));
+        sim.start();
+        sim.run_for(SimDuration::from_secs(1));
+        let mut seen = sim.node_as::<Gatekeeper>(1).unwrap().seen.clone();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![2, 4, 5]);
+    }
 }

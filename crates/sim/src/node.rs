@@ -223,17 +223,18 @@ impl<'a, M> Context<'a, M> {
     }
 }
 
-/// Decodes and pre-verifies inbound wire payloads on behalf of a node,
-/// off the node's thread.
+/// Decodes and verifies inbound messages on behalf of a node: the node's
+/// trust boundary (see [`Node::inbound_verifier`]).
 ///
-/// This is the seam between the transport's parallel verification
-/// pipeline and the protocol crates: the pipeline hands workers raw
-/// `(from, payload)` frames, the verifier decodes them and performs every
-/// *stateless* check (client PKI signatures, threshold shares or combined
-/// signatures over digests the message itself carries, self-contained
-/// view-change evidence). Checks that need node state (e.g. a signature
-/// over a block digest only the replica's log knows) stay in the node's
-/// handlers.
+/// Drivers run it on every message from another node before the node
+/// sees it. The verifier performs every *stateless* check (client PKI
+/// signatures, threshold shares or combined signatures over digests the
+/// message itself carries, self-contained view-change evidence); checks
+/// that need node state (e.g. a signature over a block digest only the
+/// replica's log knows) stay in the node's handlers. The simulator calls
+/// [`InboundVerifier::verify_batch`] on each delivery; the TCP runtime
+/// also decodes raw `(from, payload)` frames with it, on the node thread
+/// or on a pool of worker threads.
 ///
 /// Implementations must be thread-safe: one verifier instance is shared
 /// by every worker in a pool.
@@ -269,6 +270,15 @@ pub trait Node<M: SimMessage>: 'static {
 
     /// Invoked when a timer set via [`Context::set_timer`] fires.
     fn on_timer(&mut self, _token: u64, _ctx: &mut Context<'_, M>) {}
+
+    /// The stateless checks every message from another node must pass
+    /// before [`Node::on_message`] sees it; `None` (the default) accepts
+    /// everything. Every driver runs it: the simulator before each
+    /// delivery, the TCP runtime on its inbound frames. Messages a node
+    /// sends itself are trusted and skip it.
+    fn inbound_verifier(&self) -> Option<std::sync::Arc<dyn InboundVerifier<M>>> {
+        None
+    }
 
     /// Upcast for downcasting in tests (`sbft_sim::impl_node_any!()`).
     fn as_any(&self) -> &dyn std::any::Any;

@@ -90,7 +90,8 @@ pub struct ClusterSpec {
     pub profile: TransportProfile,
     /// Verification-pipeline worker threads per replica
     /// (`verify_threads N`). `0` (the default) resolves from the host's
-    /// core count at boot; `1` bypasses the pipeline entirely.
+    /// core count at boot; `1` runs the replica's inbound checks on its
+    /// node thread, `>= 2` on that many worker threads.
     pub verify_threads: usize,
     /// Execution-pipeline worker threads per replica (`exec_threads N`).
     /// `0` (the default) resolves from the host's core count at boot;
@@ -335,9 +336,9 @@ impl ClusterSpec {
     /// Resolves `verify_threads` for this host: an explicit value is
     /// used as-is; `0` (auto) takes the cores left over after the node
     /// thread, capped at 4 (per-replica verification saturates well
-    /// before that in a 4-replica cluster). A 1-core host resolves to 1,
-    /// which bypasses the pipeline — the zero-handoff single-threaded
-    /// path stays the fast path there.
+    /// before that in a 4-replica cluster). A 1- or 2-core host resolves
+    /// to 1: the node thread checks its own inbound frames, the
+    /// zero-handoff path that stays the fast path there.
     pub fn resolved_verify_threads(&self) -> usize {
         if self.verify_threads > 0 {
             return self.verify_threads;

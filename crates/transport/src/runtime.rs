@@ -9,11 +9,15 @@
 //! baseline therefore run unchanged on both backends — the acceptance
 //! bar for this subsystem.
 //!
-//! Single-threaded by design: the node is `!Send` (it holds `Rc` key
-//! material), so the runtime loops on the caller's thread, alternating
-//! between due timers and inbound frames. Per-process parallelism comes
-//! from running one process (or thread) per node, as a real deployment
-//! would.
+//! Single-threaded by design: the node is `!Send`, so the runtime loops
+//! on the caller's thread, alternating between due timers and inbound
+//! frames. Per-process parallelism comes from running one process (or
+//! thread) per node, as a real deployment would.
+//!
+//! Every inbound frame passes the node's trust boundary
+//! ([`Node::inbound_verifier`]) in a [`VerifyPool`] before its handler
+//! runs: on the node thread at verify width ≤ 1, on worker threads at 2
+//! or more. Self-sends loop back without it.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -25,24 +29,24 @@ use sbft_telemetry::{Counter, Registry};
 use sbft_wire::Wire;
 
 use crate::tcp::TcpTransport;
-use crate::verify::{VerifyPool, VerifyPoolStats};
+use crate::verify::{VerifyPool, VerifyPoolStats, VERIFY_BATCH, VERIFY_QUEUE};
 
-/// Where the runtime's inbound messages come from.
-enum Inbound<M> {
-    /// Straight off the transport channel; frames decode on the node
-    /// thread (the PR-2 behaviour, still the right call on one core).
-    Direct,
-    /// Through a [`VerifyPool`]: frames decode and pre-verify on worker
-    /// threads, the node consumes verified envelopes in per-peer FIFO
-    /// order.
-    Pipeline(VerifyPool<M>),
+/// The boundary of a node without checks of its own: decode, accept.
+struct DecodeOnly;
+
+impl<M: Wire> InboundVerifier<M> for DecodeOnly {
+    fn decode(&self, payload: &[u8]) -> Option<M> {
+        M::from_wire_bytes(payload).ok()
+    }
 }
 
 /// Wall-clock runtime for one node.
 pub struct NodeRuntime<M: SimMessage + Wire> {
     node: Box<dyn Node<M>>,
     transport: TcpTransport,
-    inbound: Inbound<M>,
+    /// Decoded messages from other nodes that passed the node's
+    /// verifier, in per-peer FIFO order.
+    inbound: VerifyPool<M>,
     rng: SimRng,
     metrics: Metrics,
     next_timer_id: u64,
@@ -61,7 +65,6 @@ pub struct NodeRuntime<M: SimMessage + Wire> {
     start: Instant,
     started: bool,
     events: u64,
-    decode_errors: u64,
     /// Clock skew (ns) applied to the time the node observes via
     /// `ctx.now()` — fault-injection harnesses skew replicas to probe
     /// timestamp-sensitive paths. Timer deadlines stay monotonic.
@@ -77,16 +80,42 @@ pub struct NodeRuntime<M: SimMessage + Wire> {
     adopted_samples: HashSet<&'static str>,
 }
 
-impl<M: SimMessage + Wire> NodeRuntime<M> {
-    /// Wraps a node and its transport. `seed` feeds the deterministic RNG
-    /// handlers see via `ctx.rng()` (determinism of the *node logic*; the
-    /// network is of course not deterministic here).
+impl<M: SimMessage + Wire + Send> NodeRuntime<M> {
+    /// Wraps a node and its transport, checking inbound frames on the
+    /// node thread. `seed` feeds the deterministic RNG handlers see via
+    /// `ctx.rng()` (determinism of the *node logic*; the network is of
+    /// course not deterministic here).
     pub fn new(node: Box<dyn Node<M>>, transport: TcpTransport, seed: u64) -> Self {
+        NodeRuntime::with_verify_pool(node, transport, seed, 1)
+    }
+
+    /// Wraps a node and its transport with `threads` verification
+    /// workers: at 2 or more, worker threads decode and verify inbound
+    /// frames (via the node's [`Node::inbound_verifier`]) before the
+    /// node sees them, releasing messages in strict per-peer FIFO order;
+    /// below 2 the node thread does the same checks itself.
+    pub fn with_verify_pool(
+        node: Box<dyn Node<M>>,
+        mut transport: TcpTransport,
+        seed: u64,
+        threads: usize,
+    ) -> Self {
         let registry = transport.registry();
+        let verifier = node
+            .inbound_verifier()
+            .unwrap_or_else(|| Arc::new(DecodeOnly));
+        let inbound = VerifyPool::start(
+            transport.take_inbound(),
+            verifier,
+            threads,
+            VERIFY_BATCH,
+            VERIFY_QUEUE,
+            &registry,
+        );
         NodeRuntime {
             node,
             transport,
-            inbound: Inbound::Direct,
+            inbound,
             rng: SimRng::new(seed),
             metrics: Metrics::new(false),
             next_timer_id: 0,
@@ -97,65 +126,15 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
             start: Instant::now(),
             started: false,
             events: 0,
-            decode_errors: 0,
             clock_skew_ns: 0,
             registry,
             mirrored: HashMap::new(),
             adopted_samples: HashSet::new(),
         }
     }
+}
 
-    /// Wraps a node with a parallel verification pipeline: `threads`
-    /// workers decode and pre-verify inbound frames (via `verifier`)
-    /// before the node sees them, releasing messages in strict per-peer
-    /// FIFO order.
-    ///
-    /// The node must be configured to skip the checks the verifier
-    /// performs (e.g. `ReplicaNode::set_inbound_preverified`); this
-    /// constructor only moves the work, the node decides not to repeat
-    /// it. Because a pre-verified-configured node behind **no** pipeline
-    /// would accept forged messages, this constructor never degrades
-    /// silently: callers that want the single-threaded bypass (the right
-    /// call on one core) must use [`NodeRuntime::new`] and leave the
-    /// node's checks on — see `sbft::deploy::replica_runtime_with_pipeline`
-    /// for the canonical branch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads < 2` — a one-worker "pipeline" is strictly
-    /// worse than the direct path and bypassing here would desynchronize
-    /// the caller's `set_inbound_preverified` decision from reality.
-    pub fn with_verify_pool(
-        node: Box<dyn Node<M>>,
-        mut transport: TcpTransport,
-        seed: u64,
-        verifier: Arc<dyn InboundVerifier<M>>,
-        threads: usize,
-        batch: usize,
-        queue: usize,
-    ) -> Self
-    where
-        M: Send,
-    {
-        assert!(
-            threads >= 2,
-            "with_verify_pool needs >= 2 workers; use NodeRuntime::new (and keep the node's \
-             own checks enabled) for the single-threaded path"
-        );
-        let registry = transport.registry();
-        let pool = VerifyPool::start(
-            transport.take_inbound(),
-            verifier,
-            threads,
-            batch,
-            queue,
-            &registry,
-        );
-        let mut runtime = NodeRuntime::new(node, transport, seed);
-        runtime.inbound = Inbound::Pipeline(pool);
-        runtime
-    }
-
+impl<M: SimMessage + Wire> NodeRuntime<M> {
     /// Skews the clock the node observes through `ctx.now()` by
     /// `skew_ns` nanoseconds (positive = the node believes it is in the
     /// future). Mirrors `Simulation::set_clock_skew`.
@@ -163,20 +142,15 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
         self.clock_skew_ns = skew_ns;
     }
 
-    /// Verification-pipeline counters, when the pipeline is enabled.
-    pub fn verify_pool_stats(&self) -> Option<VerifyPoolStats> {
-        match &self.inbound {
-            Inbound::Direct => None,
-            Inbound::Pipeline(pool) => Some(pool.stats()),
-        }
+    /// Counters of the inbound trust boundary.
+    pub fn verify_pool_stats(&self) -> VerifyPoolStats {
+        self.inbound.stats()
     }
 
-    /// Verification worker threads in use (0 = pipeline bypassed).
+    /// Verification worker threads in use (0 = the node thread checks
+    /// inbound frames itself).
     pub fn verify_threads(&self) -> usize {
-        match &self.inbound {
-            Inbound::Direct => 0,
-            Inbound::Pipeline(pool) => pool.threads(),
-        }
+        self.inbound.threads()
     }
 
     /// Nanoseconds since the runtime was created, as the node's timebase.
@@ -219,7 +193,6 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
             set(key, value);
         }
         set("events_processed", self.events);
-        set("decode_errors", self.decode_errors);
         for (key, histogram) in self.metrics.sample_histograms() {
             if self.adopted_samples.insert(key) {
                 registry.adopt_histogram(&format!("sbft_node_{key}"), histogram);
@@ -235,11 +208,7 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
     /// Frames that failed to decode as `M` (malformed or hostile peers),
     /// wherever the decoding happened — node thread or pipeline workers.
     pub fn decode_errors(&self) -> u64 {
-        let pipeline = match &self.inbound {
-            Inbound::Direct => 0,
-            Inbound::Pipeline(pool) => pool.stats().decode_errors,
-        };
-        self.decode_errors + pipeline
+        self.inbound.stats().decode_errors
     }
 
     /// Timers currently pending in the heap (diagnostics).
@@ -354,17 +323,6 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
         }
     }
 
-    /// Decodes a raw frame (direct mode); `None` counts a decode error.
-    fn decode_frame(&mut self, from: NodeId, payload: Vec<u8>) -> Option<(NodeId, M)> {
-        match M::from_wire_bytes(&payload) {
-            Ok(msg) => Some((from, msg)),
-            Err(_) => {
-                self.decode_errors += 1;
-                None
-            }
-        }
-    }
-
     /// Cap on frames drained per blocking wakeup, so a firehose of
     /// inbound traffic cannot starve due timers (and loopback sends) for
     /// more than one bounded batch.
@@ -409,34 +367,15 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
                 let until_timer = Duration::from_nanos(at_ns.saturating_sub(self.now().as_nanos()));
                 wait = wait.min(until_timer);
             }
-            // Zero-duration waits still poll the channel once. In
-            // pipeline mode messages arrive decoded and pre-verified
-            // from the worker pool; the drain shape is identical.
+            // Zero-duration waits still poll the channel once.
             let wait = wait.max(Duration::from_micros(100));
-            let pipelined = matches!(self.inbound, Inbound::Pipeline(_));
-            let first = if pipelined {
-                self.pool_recv(Some(wait))
-            } else {
-                match self.transport.recv_timeout(wait) {
-                    Some((from, payload)) => self.decode_frame(from, payload),
-                    None => None,
-                }
-            };
-            if let Some((from, msg)) = first {
+            if let Some((from, msg)) = self.inbound.recv_timeout(wait) {
                 self.dispatch(|node, ctx| node.on_message(from, msg, ctx));
                 // Batch-drain whatever else is already ready before
                 // going back around to timers.
                 let mut drained = 1;
                 while drained < Self::DRAIN_BATCH {
-                    let next = if pipelined {
-                        self.pool_recv(None)
-                    } else {
-                        match self.transport.try_recv() {
-                            Some((from, payload)) => self.decode_frame(from, payload),
-                            None => None,
-                        }
-                    };
-                    match next {
+                    match self.inbound.try_recv() {
                         Some((from, msg)) => {
                             self.dispatch(|node, ctx| node.on_message(from, msg, ctx));
                             drained += 1;
@@ -448,18 +387,6 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
         }
         self.mirror_metrics();
         self.events - before
-    }
-
-    /// Receives from the verify pool (blocking up to `wait`, or
-    /// non-blocking with `None`).
-    fn pool_recv(&self, wait: Option<Duration>) -> Option<(NodeId, M)> {
-        let Inbound::Pipeline(pool) = &self.inbound else {
-            return None;
-        };
-        match wait {
-            Some(wait) => pool.recv_timeout(wait),
-            None => pool.try_recv(),
-        }
     }
 
     /// Polls until `stop` returns true or `timeout` elapses; returns

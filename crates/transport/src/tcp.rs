@@ -638,11 +638,12 @@ impl TcpTransport {
         })
     }
 
-    /// Moves the inbound frame channel out of the transport, for a
-    /// verification pipeline that drains raw frames on its own worker
-    /// threads. Reader threads (and self-sends) keep feeding the moved
-    /// channel; subsequent [`Self::recv_timeout`] / [`Self::try_recv`]
-    /// calls on the transport itself see nothing.
+    /// Moves the inbound frame channel out of the transport, for the
+    /// verification stage that screens raw frames before a node sees
+    /// them (`NodeRuntime` always takes it). Reader threads (and
+    /// self-sends) keep feeding the moved channel; subsequent
+    /// [`Self::recv_timeout`] / [`Self::try_recv`] calls on the transport
+    /// itself see nothing.
     pub fn take_inbound(&mut self) -> Receiver<(NodeId, Vec<u8>)> {
         let (parked_tx, parked_rx) = mpsc::sync_channel(1);
         self._parked_inbound_tx = Some(parked_tx);

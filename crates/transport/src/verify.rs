@@ -1,15 +1,20 @@
-//! The parallel verification pipeline: a pool of worker threads between
-//! the [`crate::TcpTransport`]'s frame channel and the node's
-//! single-threaded runtime.
+//! The inbound trust boundary of the TCP runtime: every frame from
+//! another node is decoded and verified by the node's
+//! [`sbft_sim::InboundVerifier`] before the node sees it.
 //!
-//! The sans-IO nodes are `!Send` by design, so the node thread cannot be
-//! parallelized — but the expensive *stateless* per-message work (frame
-//! decode, client-signature checks, share verification over carried
-//! digests) has no business on that thread. Workers drain raw
-//! `(from, payload)` frames in small batches, decode them, hand the batch
-//! to a shared [`sbft_sim::InboundVerifier`] (which can amortize — e.g.
-//! one random-linear-combination pairing check over every signature share
-//! in the batch), and release the survivors to the node.
+//! A [`VerifyPool`] with fewer than two workers spawns no threads: the
+//! node thread screens each frame itself as it receives it. With two or
+//! more, worker threads sit between the
+//! [`crate::TcpTransport`]'s frame channel and the node's single-threaded
+//! runtime. The sans-IO nodes are `!Send` by design, so the node thread
+//! cannot be parallelized — but the expensive *stateless* per-message
+//! work (frame decode, client-signature checks, share verification over
+//! carried digests) can leave it. Workers drain raw `(from, payload)`
+//! frames in small batches, decode them, hand the batch to the shared
+//! verifier (which can amortize — e.g. one random-linear-combination
+//! pairing check over every signature share in the batch), and release
+//! the survivors to the node. Both widths count into the same
+//! `sbft_verify_*` counters.
 //!
 //! Ordering: the protocol assumes per-peer FIFO delivery (TCP gives it,
 //! and the discrete-event simulator models it), so the pool must not let
@@ -20,15 +25,23 @@
 //! the peer's reorder buffer and releases the contiguous prefix. No locks
 //! are ever taken on the node itself.
 
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sbft_sim::{InboundVerifier, NodeId};
 use sbft_telemetry::{Counter, Registry};
+
+/// Frames one screening pass claims — the amortization unit for the
+/// batched (random-linear-combination) share checks.
+pub const VERIFY_BATCH: usize = 32;
+/// Bound on a worker pool's verified-output queue.
+pub const VERIFY_QUEUE: usize = 16_384;
 
 /// How long a worker blocks on the intake channel before re-checking the
 /// shutdown flag (bounds pool teardown latency).
@@ -43,9 +56,9 @@ pub struct VerifyPoolStats {
     pub decode_errors: u64,
     /// Decoded messages rejected by verification.
     pub verify_rejects: u64,
-    /// Messages released to the node.
+    /// Messages that passed verification, bound for the node.
     pub released: u64,
-    /// Worker batches processed (released / batches ≈ amortization).
+    /// Screening batches processed (released / batches ≈ amortization).
     pub batches: u64,
 }
 
@@ -68,6 +81,68 @@ impl Counters {
             verify_rejects: registry.counter("sbft_verify_rejects"),
             released: registry.counter("sbft_verify_released"),
             batches: registry.counter("sbft_verify_batches"),
+        }
+    }
+}
+
+/// A verifier panic, carried out of [`screen`] to be re-raised.
+type Panic = Box<dyn Any + Send>;
+
+/// Screens one batch of frames: decodes each, verifies the decoded ones
+/// with one `verify_batch` call, and counts the outcome. `out[i]` holds
+/// frame `i`'s message iff it decoded and passed.
+///
+/// The verification call is panic-guarded: a panicking verifier rejects
+/// every decoded message of the batch — counted, so `frames_in ==
+/// decode_errors + verify_rejects + released` stays exact — and the
+/// panic is handed back for the caller to re-raise once its own
+/// bookkeeping is settled.
+fn screen<M: 'static>(
+    verifier: &dyn InboundVerifier<M>,
+    counters: &Counters,
+    frames: &[(NodeId, Vec<u8>)],
+) -> (Vec<Option<M>>, Option<Panic>) {
+    counters.frames_in.add(frames.len() as u64);
+    counters.batches.inc();
+    let mut decoded_at: Vec<usize> = Vec::with_capacity(frames.len());
+    let mut pairs: Vec<(NodeId, M)> = Vec::with_capacity(frames.len());
+    for (i, (from, payload)) in frames.iter().enumerate() {
+        match verifier.decode(payload) {
+            Some(msg) => {
+                decoded_at.push(i);
+                pairs.push((*from, msg));
+            }
+            None => counters.decode_errors.inc(),
+        }
+    }
+    let mut out: Vec<Option<M>> = (0..frames.len()).map(|_| None).collect();
+    let verdicts = panic::catch_unwind(AssertUnwindSafe(|| {
+        let verdicts = verifier.verify_batch(&pairs);
+        // Hard contract: one verdict per decoded message. A short
+        // vector would otherwise silently drop the tail with no counter
+        // accounting for it.
+        assert_eq!(
+            verdicts.len(),
+            pairs.len(),
+            "InboundVerifier::verify_batch must return one verdict per message",
+        );
+        verdicts
+    }));
+    match verdicts {
+        Ok(verdicts) => {
+            for ((i, (_, msg)), ok) in decoded_at.into_iter().zip(pairs).zip(verdicts) {
+                if ok {
+                    counters.released.inc();
+                    out[i] = Some(msg);
+                } else {
+                    counters.verify_rejects.inc();
+                }
+            }
+            (out, None)
+        }
+        Err(panic) => {
+            counters.verify_rejects.add(pairs.len() as u64);
+            (out, Some(panic))
         }
     }
 }
@@ -100,33 +175,42 @@ struct Reorder<M> {
     peers: HashMap<NodeId, PeerReorder<M>>,
 }
 
-/// A frame in flight through a worker.
-struct Job {
-    peer: NodeId,
-    token: u64,
-    payload: Vec<u8>,
+/// Where screening happens.
+enum Stage<M> {
+    /// No workers: the consuming thread screens each frame as it
+    /// receives it.
+    Inline {
+        rx: Receiver<(NodeId, Vec<u8>)>,
+        verifier: Arc<dyn InboundVerifier<M>>,
+    },
+    /// Worker threads screen frames and release them, per-peer FIFO,
+    /// into `out_rx`.
+    Workers {
+        out_rx: Option<Receiver<(NodeId, M)>>,
+        shutdown: Arc<AtomicBool>,
+        workers: Vec<thread::JoinHandle<()>>,
+    },
 }
 
-/// The verification pipeline stage. Construct with [`VerifyPool::start`],
-/// consume with [`VerifyPool::recv_timeout`] / [`VerifyPool::try_recv`]
-/// from the node thread.
+/// The verification stage between the transport and the node. Construct
+/// with [`VerifyPool::start`], consume with [`VerifyPool::recv_timeout`]
+/// / [`VerifyPool::try_recv`] from the node thread.
 pub struct VerifyPool<M> {
-    out_rx: Option<Receiver<(NodeId, M)>>,
-    shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
-    workers: Vec<thread::JoinHandle<()>>,
     threads: usize,
+    stage: Stage<M>,
 }
 
 impl<M: Send + 'static> VerifyPool<M> {
-    /// Spawns `threads` workers draining `inbound` (the receiver moved
-    /// out of a transport with `TcpTransport::take_inbound`). `batch`
-    /// caps how many ready frames one worker claims per pass — the
-    /// amortization unit for batched verification. `queue` bounds the
-    /// verified-output channel (backpressure onto the workers, and from
-    /// there onto the kernel's TCP buffers). Counters register into
-    /// `registry` — pass the transport's, so one exposition covers the
-    /// whole node.
+    /// Screens `inbound` (the receiver moved out of a transport with
+    /// `TcpTransport::take_inbound`) through `verifier`. With `threads <
+    /// 2` nothing is spawned and the receiving thread screens frames
+    /// itself; otherwise `threads` workers do. `batch` caps how many
+    /// ready frames a worker claims per pass — the amortization unit for
+    /// batched verification. `queue` bounds the workers' verified-output
+    /// channel (backpressure onto the workers, and from there onto the
+    /// kernel's TCP buffers). Counters register into `registry` — pass
+    /// the transport's, so one exposition covers the whole node.
     pub fn start(
         inbound: Receiver<(NodeId, Vec<u8>)>,
         verifier: Arc<dyn InboundVerifier<M>>,
@@ -135,11 +219,20 @@ impl<M: Send + 'static> VerifyPool<M> {
         queue: usize,
         registry: &Registry,
     ) -> VerifyPool<M> {
-        assert!(threads >= 1, "a pool needs at least one worker");
         assert!(batch >= 1, "batch must be at least 1");
+        let counters = Arc::new(Counters::register(registry));
+        if threads < 2 {
+            return VerifyPool {
+                counters,
+                threads: 0,
+                stage: Stage::Inline {
+                    rx: inbound,
+                    verifier,
+                },
+            };
+        }
         let (out_tx, out_rx) = mpsc::sync_channel(queue.max(1));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(Counters::register(registry));
         let intake = Arc::new(Mutex::new(Intake {
             rx: inbound,
             next_token: HashMap::new(),
@@ -166,32 +259,50 @@ impl<M: Send + 'static> VerifyPool<M> {
             })
             .collect();
         VerifyPool {
-            out_rx: Some(out_rx),
-            shutdown,
             counters,
-            workers,
             threads,
+            stage: Stage::Workers {
+                out_rx: Some(out_rx),
+                shutdown,
+                workers,
+            },
         }
     }
 }
 
-impl<M> VerifyPool<M> {
-    /// Number of worker threads.
+impl<M: 'static> VerifyPool<M> {
+    /// Number of worker threads (0 when the node thread screens).
     pub fn threads(&self) -> usize {
         self.threads
     }
 
     /// Receives the next verified message, waiting at most `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(NodeId, M)> {
-        match self.out_rx.as_ref()?.recv_timeout(timeout) {
-            Ok(item) => Some(item),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
+        self.recv(Some((Instant::now(), timeout)))
     }
 
     /// Non-blocking receive of a verified message.
     pub fn try_recv(&self) -> Option<(NodeId, M)> {
-        self.out_rx.as_ref()?.try_recv().ok()
+        self.recv(None)
+    }
+
+    /// Receives within `wait = (start, timeout)` (`None`: only what is
+    /// already queued).
+    fn recv(&self, wait: Option<(Instant, Duration)>) -> Option<(NodeId, M)> {
+        match &self.stage {
+            Stage::Workers { out_rx, .. } => pull(out_rx.as_ref()?, wait),
+            Stage::Inline { rx, verifier } => loop {
+                let frame = pull(rx, wait)?;
+                let (outcome, poisoned) =
+                    screen(&**verifier, &self.counters, std::slice::from_ref(&frame));
+                if let Some(panic) = poisoned {
+                    panic::resume_unwind(panic);
+                }
+                if let Some(Some(msg)) = outcome.into_iter().next() {
+                    return Some((frame.0, msg));
+                }
+            },
+        }
     }
 
     /// Counter snapshot.
@@ -208,13 +319,32 @@ impl<M> VerifyPool<M> {
 
 impl<M> Drop for VerifyPool<M> {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
+        let Stage::Workers {
+            out_rx,
+            shutdown,
+            workers,
+        } = &mut self.stage
+        else {
+            return;
+        };
+        shutdown.store(true, Ordering::Release);
         // Dropping the receiver first errors out any worker blocked on a
         // full output queue; the rest notice the flag within one tick.
-        self.out_rx.take();
-        for worker in self.workers.drain(..) {
+        out_rx.take();
+        for worker in workers.drain(..) {
             let _ = worker.join();
         }
+    }
+}
+
+/// Receives from `rx` within what is left of `timeout` since `start`
+/// (`None`: only what is already queued).
+fn pull<T>(rx: &Receiver<T>, wait: Option<(Instant, Duration)>) -> Option<T> {
+    match wait {
+        Some((start, timeout)) => rx
+            .recv_timeout(timeout.saturating_sub(start.elapsed()))
+            .ok(),
+        None => rx.try_recv().ok(),
     }
 }
 
@@ -231,7 +361,7 @@ fn worker_loop<M: Send + 'static>(
         // Intake: one blocking wait, then claim whatever else is already
         // queued (up to `batch`), assigning per-peer order tokens under
         // the same lock so tokens match arrival order.
-        let jobs: Vec<Job> = {
+        let (frames, tokens) = {
             let mut intake = match intake.lock() {
                 Ok(guard) => guard,
                 Err(_) => return, // a worker panicked; don't compound it
@@ -241,81 +371,32 @@ fn worker_loop<M: Send + 'static>(
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => return,
             };
-            fn push(intake: &mut Intake, jobs: &mut Vec<Job>, (peer, payload): (NodeId, Vec<u8>)) {
-                let token = intake.next_token.entry(peer).or_insert(0);
-                jobs.push(Job {
-                    peer,
-                    token: *token,
-                    payload,
-                });
-                *token += 1;
-            }
-            let mut jobs = Vec::with_capacity(batch);
-            push(&mut intake, &mut jobs, first);
-            while jobs.len() < batch {
+            let mut frames = vec![first];
+            while frames.len() < batch {
                 match intake.rx.try_recv() {
-                    Ok(item) => push(&mut intake, &mut jobs, item),
+                    Ok(item) => frames.push(item),
                     Err(_) => break,
                 }
             }
-            jobs
-        };
-        counters.frames_in.add(jobs.len() as u64);
-        counters.batches.inc();
-
-        // Decode off the lock (pure parsing, counted exactly), then
-        // verify the whole claimed batch with one call — the verifier
-        // amortizes crypto across it.
-        let mut decoded_at: Vec<usize> = Vec::with_capacity(jobs.len());
-        let mut pairs: Vec<(NodeId, M)> = Vec::with_capacity(jobs.len());
-        for (i, job) in jobs.iter().enumerate() {
-            match verifier.decode(&job.payload) {
-                Some(msg) => {
-                    decoded_at.push(i);
-                    pairs.push((job.peer, msg));
-                }
-                None => {
-                    counters.decode_errors.inc();
-                }
-            }
-        }
-        let decoded = pairs.len();
-        // The verification call is panic-guarded: this worker's tokens
-        // are already claimed, and dying without parking them would
-        // silently stall every later frame from those peers (the reorder
-        // buffer waits forever on the gap). A panicking verifier instead
-        // drops its decoded messages — counted as rejects, so
-        // `frames_in == decode_errors + verify_rejects + released`
-        // stays exact — and the panic is re-raised after release.
-        let verify = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut outcomes: Vec<Option<M>> = (0..jobs.len()).map(|_| None).collect();
-            let verdicts = verifier.verify_batch(&pairs);
-            // Hard contract: one verdict per decoded message. A short
-            // vector would otherwise silently drop the tail with no
-            // counter accounting for it.
-            assert_eq!(
-                verdicts.len(),
-                pairs.len(),
-                "InboundVerifier::verify_batch must return one verdict per message",
-            );
-            for ((i, (_, msg)), ok) in decoded_at.iter().zip(pairs).zip(verdicts) {
-                if ok {
-                    outcomes[*i] = Some(msg);
-                } else {
-                    counters.verify_rejects.inc();
-                }
-            }
-            outcomes
-        }));
-        let (outcomes, poisoned) = match verify {
-            Ok(outcomes) => (outcomes, None),
-            Err(panic) => {
-                counters.verify_rejects.add(decoded as u64);
-                ((0..jobs.len()).map(|_| None).collect(), Some(panic))
-            }
+            let tokens: Vec<u64> = frames
+                .iter()
+                .map(|(peer, _)| {
+                    let next = intake.next_token.entry(*peer).or_insert(0);
+                    let token = *next;
+                    *next += 1;
+                    token
+                })
+                .collect();
+            (frames, tokens)
         };
 
-        // Release: park every job's outcome (dropped frames park `None`
+        // Decode and verify off the lock. A panicking verifier must not
+        // kill this worker before it parks its tokens: dying without
+        // them would silently stall every later frame from those peers
+        // (the reorder buffer waits forever on the gap).
+        let (outcomes, poisoned) = screen(verifier, counters, &frames);
+
+        // Release: park every frame's outcome (dropped frames park `None`
         // so the token sequence stays dense), then flush each touched
         // peer's contiguous ready prefix, in token order, while holding
         // the reorder lock — that is the per-peer FIFO guarantee. The
@@ -327,14 +408,13 @@ fn worker_loop<M: Send + 'static>(
             Ok(guard) => guard,
             Err(_) => return,
         };
-        for (job, outcome) in jobs.into_iter().zip(outcomes) {
-            let peer = reorder.peers.entry(job.peer).or_default();
-            peer.parked.insert(job.token, outcome);
+        for (((from, _), token), outcome) in frames.iter().zip(tokens).zip(outcomes) {
+            let peer = reorder.peers.entry(*from).or_default();
+            peer.parked.insert(token, outcome);
             while let Some(msg) = peer.parked.remove(&peer.next_release) {
                 peer.next_release += 1;
                 if let Some(msg) = msg {
-                    counters.released.inc();
-                    if out_tx.send((job.peer, msg)).is_err() {
+                    if out_tx.send((*from, msg)).is_err() {
                         return; // pool dropped; nobody is listening
                     }
                 }
@@ -344,7 +424,7 @@ fn worker_loop<M: Send + 'static>(
             // Tokens are parked and FIFO continuity is safe — now fail
             // loudly instead of running on with a compromised verifier.
             drop(reorder);
-            std::panic::resume_unwind(panic);
+            panic::resume_unwind(panic);
         }
     }
 }
@@ -475,30 +555,43 @@ mod tests {
         );
     }
 
+    /// At every width — the node thread screening (1) or workers (2).
     #[test]
     fn malformed_frames_are_counted_and_do_not_stall_the_stream() {
-        let (tx, rx) = sync_channel(64);
-        let pool: VerifyPool<Seq> =
-            VerifyPool::start(rx, Arc::new(JitterVerifier), 2, 4, 64, &Registry::new());
-        // Interleave garbage with valid frames from one peer: the valid
-        // ones must still come out, in order, despite dropped tokens.
-        for seq in 0..20u64 {
-            tx.send((3, frame(3, seq))).unwrap();
-            tx.send((3, vec![0xff; 3])).unwrap(); // undecodable
+        for threads in [1, 2] {
+            let (tx, rx) = sync_channel(64);
+            let registry = Registry::new();
+            let pool: VerifyPool<Seq> =
+                VerifyPool::start(rx, Arc::new(JitterVerifier), threads, 4, 64, &registry);
+            // Interleave garbage with valid frames from one peer: the
+            // valid ones must still come out, in order, despite dropped
+            // tokens.
+            for seq in 0..20u64 {
+                tx.send((3, frame(3, seq))).unwrap();
+                tx.send((3, vec![0xff; 3])).unwrap(); // undecodable
+            }
+            let mut seqs = Vec::new();
+            while seqs.len() < 19 {
+                let (from, msg) = pool
+                    .recv_timeout(Duration::from_secs(5))
+                    .expect("valid frames released");
+                assert_eq!(from, 3);
+                seqs.push(msg.seq);
+            }
+            let expect: Vec<u64> = (0..20).filter(|s| s % 16 != 7).collect();
+            assert_eq!(seqs, expect, "width {threads}");
+            assert!(pool.try_recv().is_none());
+            let stats = pool.stats();
+            assert_eq!(stats.frames_in, 40);
+            assert_eq!(stats.decode_errors, 20);
+            assert_eq!(stats.verify_rejects, 1); // seq 7
+            assert_eq!(stats.released, 19);
+            assert_eq!(
+                registry.counter("sbft_verify_decode_errors").get(),
+                20,
+                "the registry reads the same counters"
+            );
         }
-        let mut seqs = Vec::new();
-        while seqs.len() < 19 {
-            let (from, msg) = pool
-                .recv_timeout(Duration::from_secs(5))
-                .expect("valid frames released");
-            assert_eq!(from, 3);
-            seqs.push(msg.seq);
-        }
-        let expect: Vec<u64> = (0..20).filter(|s| s % 16 != 7).collect();
-        assert_eq!(seqs, expect);
-        let stats = pool.stats();
-        assert_eq!(stats.decode_errors, 20);
-        assert_eq!(stats.verify_rejects, 1); // seq 7
     }
 
     #[test]

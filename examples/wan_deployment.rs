@@ -6,7 +6,7 @@
 
 use sbft::core::{Cluster, ClusterConfig, VariantFlags, Workload};
 use sbft::crypto::CryptoCostModel;
-use sbft::sim::{SampleStats, SimDuration, Topology};
+use sbft::sim::{SimDuration, Topology};
 
 fn main() {
     let paper_scale = std::env::args().any(|a| a == "--paper-scale");

@@ -28,7 +28,7 @@ struct Args {
     /// Overrides the config file's `profile` directive when set.
     profile: Option<TransportProfile>,
     /// Overrides the config file's `verify_threads` directive when set
-    /// (0 = auto from core count, 1 = pipeline bypassed).
+    /// (0 = auto from core count, 1 = checks on the node thread).
     verify_threads: Option<usize>,
     /// Overrides the config file's `exec_threads` directive when set
     /// (0 = auto from core count, 1 = inline execution on the node

@@ -7,15 +7,18 @@
 //! construction itself is shared with the simulator via
 //! [`sbft_core::make_replica`] / [`sbft_core::make_client`], so the exact
 //! same `ReplicaNode`/`ClientNode` state machines run on both backends.
+//! At every verify width a replica takes messages from other nodes only
+//! through its own inbound verifier (`ReplicaNode`'s
+//! `Node::inbound_verifier`); the width only picks the thread that runs
+//! it.
 
 use std::io;
 use std::net::TcpListener;
 use std::sync::Arc;
 
 use sbft_core::{
-    make_client, make_replica, ExecPool, KeyMaterial, ProtocolConfig, PublicKeys,
-    ReplicaDurability, ReplicaNode, SbftMsg, SbftPreVerifier, ShareVerifyMap, VariantFlags,
-    Workload,
+    make_client, make_replica, ExecPool, KeyMaterial, ProtocolConfig, ReplicaDurability,
+    ReplicaNode, SbftMsg, ShareVerifyMap, VariantFlags, Workload,
 };
 use sbft_crypto::CryptoCostModel;
 use sbft_gateway::{AdmissionConfig, GatewayCore, OpenLoopConfig, OpenLoopDriver, SessionMux};
@@ -24,20 +27,11 @@ use sbft_statedb::{FsyncPolicy, KvService, Service};
 use sbft_transport::{ClusterSpec, NodeRuntime, TcpTransport, TransportProfile, VariantName};
 use sbft_wire::Wire;
 
-/// Frames one verification worker claims per pass — the amortization
-/// unit for the batched (random-linear-combination) share checks.
-pub const VERIFY_BATCH: usize = 32;
-/// Bound on the pipeline's verified-output queue.
-pub const VERIFY_QUEUE: usize = 16_384;
-
-/// Wraps a replica in its runtime, attaching the parallel verification
-/// pipeline when `verify_threads > 1` (and telling the replica to skip
-/// the checks the pipeline now owns) and the execution pipeline when
-/// `exec_threads > 1`. With both knobs at `<= 1` this is the plain
-/// single-threaded runtime — the PR-2 hot path, still optimal on one
-/// core, byte-identical to the pre-pipeline replica. Shared by
-/// [`replica_runtime`], the chaos harness, and the benches so every
-/// backend builds pipelines the same way.
+/// Wraps a replica in its runtime: `verify_threads` workers screen
+/// inbound frames through the replica's verifier (at `<= 1` the node
+/// thread does), and `exec_threads > 1` moves block execution to an
+/// executor pool. Shared by [`replica_runtime`], the chaos harness, and
+/// the benches so every backend builds pipelines the same way.
 ///
 /// `exec_service` is the executor-side copy of the state machine: the
 /// pool thread owns it outright (the node keeps only digests and reply
@@ -47,7 +41,6 @@ pub fn replica_runtime_with_pipeline(
     mut replica: ReplicaNode,
     transport: TcpTransport,
     seed: u64,
-    public: Arc<PublicKeys>,
     verify_threads: usize,
     exec_threads: usize,
     exec_service: impl FnOnce() -> Box<dyn Service + Send>,
@@ -74,24 +67,12 @@ pub fn replica_runtime_with_pipeline(
         replica.offload_execution(pool);
     }
     if verify_threads > 1 {
-        replica.set_inbound_preverified(true);
         // Slot-digest map shared between the replica (publishes digests
         // at pre-prepare, consumes pre-verified shares at combine time)
         // and the pipeline workers (record σ/τ shares they checked).
-        let shares = Arc::new(ShareVerifyMap::default());
-        replica.set_share_map(Arc::clone(&shares));
-        NodeRuntime::with_verify_pool(
-            Box::new(replica),
-            transport,
-            seed,
-            Arc::new(SbftPreVerifier::new(public).with_shares(shares)),
-            verify_threads,
-            VERIFY_BATCH,
-            VERIFY_QUEUE,
-        )
-    } else {
-        NodeRuntime::new(Box::new(replica), transport, seed)
+        replica.set_share_map(Arc::new(ShareVerifyMap::default()));
     }
+    NodeRuntime::with_verify_pool(Box::new(replica), transport, seed, verify_threads)
 }
 
 /// Maps a cluster spec onto protocol parameters. The spec's `profile`
@@ -214,7 +195,6 @@ pub fn replica_runtime(
         replica,
         transport,
         spec.seed ^ (r as u64).wrapping_mul(0x9e3779b97f4a7c15),
-        keys.public.clone(),
         spec.resolved_verify_threads(),
         spec.resolved_exec_threads(),
         || Box::new(KvService::new()),
@@ -264,11 +244,11 @@ pub fn client_runtime(
     let node = spec.client_node(c);
     let transport = transport_for(spec, node, listener)?;
     let seed = spec.seed ^ (node as u64).wrapping_mul(0x9e3779b97f4a7c15);
-    // Clients stay on the zero-handoff direct path and do their own
-    // verification: a closed-loop client blocks on its one in-flight
-    // reply, so offloading its single π check per ack to a worker pool
-    // would add a cross-thread handoff per reply and win nothing.
-    // `verify_threads` is a replica knob.
+    // Clients decode on their own thread and do their own verification:
+    // a closed-loop client blocks on its one in-flight reply, so
+    // offloading its single π check per ack to a worker pool would add a
+    // cross-thread handoff per reply and win nothing. `verify_threads`
+    // is a replica knob.
     Ok(NodeRuntime::new(Box::new(client), transport, seed))
 }
 
@@ -309,7 +289,7 @@ pub fn gateway_runtime(
     let seed = spec.seed ^ (node as u64).wrapping_mul(0x9e3779b97f4a7c15);
     let driver = OpenLoopDriver::new(GatewayCore::new(admission), mux, workload, spec.n(), seed);
     let transport = transport_for(spec, node, listener)?;
-    // Like clients, the gateway stays on the direct inbound path: its
+    // Like clients, the gateway decodes on its own thread: its
     // per-message work (one π check or reply-digest count) is far below
     // a replica's, and the node thread must stay responsive to the
     // arrival timer.

@@ -11,12 +11,15 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use sbft::core::{ClientNode, ReplicaNode};
-use sbft::deploy::{client_runtime, loopback_config, replica_runtime, ClientWorkload};
-use sbft::transport::{ClusterSpec, TransportControl};
-use sbft::types::Digest;
+use sbft::core::{ClientNode, ClientRequest, KeyMaterial, ReplicaNode, SbftMsg};
+use sbft::deploy::{
+    client_runtime, loopback_config, protocol_for, replica_runtime, ClientWorkload,
+};
+use sbft::transport::{ClusterSpec, TcpTransport, TransportControl};
+use sbft::types::{ClientId, Digest};
+use sbft::wire::Wire;
 
 /// What each replica thread reports when the run ends.
 struct ReplicaReport {
@@ -39,9 +42,9 @@ impl TcpCluster {
     /// ports, plus listeners for `clients` clients (returned for the
     /// caller to drive).
     fn boot(f: usize, c: usize, clients: usize, seed: u64) -> (TcpCluster, Vec<TcpListener>) {
-        // `verify_threads 1` / `exec_threads 1` bypass both pipelines:
-        // these tests cover the zero-handoff direct path; the pipelined
-        // paths have their own tests below.
+        // `verify_threads 1` / `exec_threads 1` keep inbound checks and
+        // execution on the node thread: these tests cover that path; the
+        // worker pools have their own tests below.
         TcpCluster::boot_with_pipelines(f, c, clients, seed, 1, 1)
     }
 
@@ -365,4 +368,66 @@ fn severed_replica_reconnects_and_liveness_resumes() {
 
     let reports = cluster.stop();
     assert_agreement(&reports);
+}
+
+/// The trust boundary at verify widths 1 (node thread) and 2 (workers):
+/// a backup fed one malformed frame and one forged request counts one of
+/// each on its registry and never acts on either — the only request it
+/// forwards to the primary is the genuine one sent after them. The
+/// primary and the client are bare transports driven by the test.
+#[test]
+fn replica_counts_and_drops_malformed_and_forged_frames_at_every_width() {
+    for verify_threads in [1, 2] {
+        let listeners: Vec<TcpListener> = (0..5)
+            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
+            .collect();
+        let addrs: Vec<String> = listeners
+            .iter()
+            .map(|l| l.local_addr().expect("local addr").to_string())
+            .collect();
+        let text = format!(
+            "verify_threads {verify_threads}\n{}",
+            loopback_config(1, 0, 0xb0d, &addrs[..4], &addrs[4..])
+        );
+        let spec = ClusterSpec::parse(&text).expect("generated config parses");
+        let mut listeners = listeners.into_iter();
+        let primary =
+            TcpTransport::with_listener(spec.transport_config(0), listeners.next().unwrap())
+                .expect("primary transport");
+        let mut backup = replica_runtime(&spec, 1, listeners.next()).expect("replica boots");
+        let client_listener = listeners.nth(2).expect("client listener");
+        let client = TcpTransport::with_listener(
+            spec.transport_config(spec.client_node(0)),
+            client_listener,
+        )
+        .expect("client transport");
+
+        let keys = KeyMaterial::generate(&protocol_for(&spec), spec.seed);
+        let id = ClientId::new(0);
+        let mut forged =
+            ClientRequest::signed(id, 1, b"put k v".to_vec(), &keys.public.client_keys(id));
+        forged.op = b"put k EVIL".to_vec();
+        let genuine =
+            ClientRequest::signed(id, 2, b"put k v".to_vec(), &keys.public.client_keys(id));
+        client.send(1, vec![0xff, 0x00, 0x13]);
+        client.send_msg(1, &SbftMsg::Request(forged));
+        client.send_msg(1, &SbftMsg::Request(genuine.clone()));
+
+        let mut forwarded = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while forwarded.is_empty() && Instant::now() < deadline {
+            backup.poll(Duration::from_millis(10));
+            while let Some((_, payload)) = primary.try_recv() {
+                if let Ok(SbftMsg::Request(request)) = SbftMsg::from_wire_bytes(&payload) {
+                    forwarded.push(request);
+                }
+            }
+        }
+        assert_eq!(forwarded, vec![genuine], "width {verify_threads}");
+        let registry = backup.registry();
+        assert_eq!(registry.counter("sbft_verify_decode_errors").get(), 1);
+        assert_eq!(registry.counter("sbft_verify_rejects").get(), 1);
+        assert_eq!(backup.decode_errors(), 1);
+        backup.transport().control().shutdown();
+    }
 }
