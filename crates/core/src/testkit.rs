@@ -145,7 +145,10 @@ impl ClusterConfig {
 
 /// Builds one replica node — the construction shared by the simulated
 /// cluster below and the real-socket runtime in `sbft-transport` (both
-/// backends drive the same sans-IO [`ReplicaNode`]).
+/// backends drive the same sans-IO [`ReplicaNode`]). The replica is
+/// memory-only: callers attach a durable store with
+/// [`ReplicaNode::set_durability`] (the simulator an in-memory one, a
+/// deployment with a `data_dir` an on-disk one).
 pub fn make_replica(
     protocol: &ProtocolConfig,
     r: usize,
@@ -153,19 +156,13 @@ pub fn make_replica(
     service: Box<dyn sbft_statedb::Service>,
     cost: CryptoCostModel,
 ) -> ReplicaNode {
-    let mut replica = ReplicaNode::new(
+    ReplicaNode::new(
         protocol.clone(),
         ReplicaId::new(r as u32),
         keys,
         service,
         cost,
-    );
-    // Every simulated replica carries an in-memory durable store: the
-    // WAL/snapshot code paths run in all tests (same bytes as the disk
-    // backend, minus the syscalls), and the harness can capture the
-    // image for restart-with-intact-disk faults.
-    replica.set_durability(ReplicaDurability::in_memory(), RecoveredState::empty());
-    replica
+    )
 }
 
 /// Builds one client node (see [`make_replica`]); `source` yields the
@@ -219,13 +216,18 @@ impl Cluster {
         let mut sim = Simulation::new(network, config.seed, config.trace);
         let keys = KeyMaterial::generate(&config.protocol, config.seed);
         for r in 0..n {
-            let replica = make_replica(
+            let mut replica = make_replica(
                 &config.protocol,
                 r,
                 &keys,
                 (config.service_factory)(),
                 config.cost.clone(),
             );
+            // Every simulated replica carries an in-memory durable store:
+            // the WAL/snapshot code paths run in all tests (same bytes as
+            // the disk backend, minus the syscalls), and the harness can
+            // capture the image for restart-with-intact-disk faults.
+            replica.set_durability(ReplicaDurability::in_memory(), RecoveredState::empty());
             sim.add_node(Box::new(replica));
         }
         for c in 0..config.clients {
@@ -262,13 +264,21 @@ impl Cluster {
     /// up through the protocol (block fills / state transfer).
     pub fn restart_replica(&mut self, r: usize) {
         assert!(r < self.n, "replica {r} out of range");
-        let fresh = make_replica(
+        // A wiped disk, but a disk: the next intact restart recovers
+        // from whatever this incarnation logs.
+        self.boot_replica(r, ReplicaDurability::in_memory(), RecoveredState::empty());
+    }
+
+    /// Replaces replica `r` with a fresh incarnation on `durability`.
+    fn boot_replica(&mut self, r: usize, durability: ReplicaDurability, recovered: RecoveredState) {
+        let mut fresh = make_replica(
             &self.protocol,
             r,
             &self.keys,
             (self.service_factory)(),
             self.cost.clone(),
         );
+        fresh.set_durability(durability, recovered);
         self.sim.restart_node(r, Box::new(fresh));
     }
 
@@ -303,16 +313,8 @@ impl Cluster {
         assert!(r < self.n, "replica {r} out of range");
         let mut image = self.durability_image(r);
         mutate(&mut image);
-        let mut fresh = make_replica(
-            &self.protocol,
-            r,
-            &self.keys,
-            (self.service_factory)(),
-            self.cost.clone(),
-        );
         let (durability, recovered) = ReplicaDurability::from_image(image);
-        fresh.set_durability(durability, recovered);
-        self.sim.restart_node(r, Box::new(fresh));
+        self.boot_replica(r, durability, recovered);
     }
 
     /// Node id of a replica.

@@ -5,7 +5,8 @@
 //!
 //! - [`AuthKv`]: a Merkle crit-bit trie — an authenticated key-value map
 //!   with O(1) copy-on-write snapshots and per-key membership/absence
-//!   proofs ([`TrieProof`]).
+//!   proofs ([`TrieProof`]). Writes mutate nodes in place and copy a node
+//!   only when a snapshot shares it.
 //! - [`Service`]: the generic deterministic replicated-service interface
 //!   of §IV (`execute`, `digest`, `proof`, `verify`), with
 //!   [`verify_execution`] as the client-side check used by the

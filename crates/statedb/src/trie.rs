@@ -11,12 +11,21 @@
 //! the whole store are O(1) and share structure — this is what makes
 //! per-sequence-number state snapshots (§IV `D_s`) affordable.
 //!
-//! Node digests are **lazy**: mutations build structure only, and hashes
-//! are computed on the first [`AuthKv::root`] / [`AuthKv::prove`] after a
-//! batch of writes (then cached in the node, so shared subtrees never
-//! re-hash). A block that touches a hot path through the trie many times
-//! pays for one digest recomputation of that path per block, not one per
-//! operation — the execute loop's root caching the replica relies on.
+//! A write descends twice. The first pass is read-only: the leaf the key's
+//! bits lead to shares the longest hash prefix with the key, so the first
+//! bit at which their hashes differ is where the key splits off (the
+//! classic crit-bit insert). The second pass takes each node on the path
+//! through `Arc::make_mut`: a node nothing else holds is mutated in place,
+//! and a node is copied only when a snapshot shares it. Between snapshots
+//! a write therefore allocates nothing but the new leaf and its branch.
+//!
+//! Node digests are **lazy**: a write only clears the cached digests on
+//! its path, and hashes are computed on the first [`AuthKv::root`] /
+//! [`AuthKv::prove`] after a batch of writes (then cached in the node, so
+//! shared subtrees never re-hash). A block that touches a hot path through
+//! the trie many times pays for one digest recomputation of that path per
+//! block, not one per operation — the execute loop's root caching the
+//! replica relies on.
 //!
 //! Nodes are `Arc`-counted with `OnceLock` digest cells, so [`AuthKv`] is
 //! `Send + Sync`: the execution pipeline ships O(1) snapshots across
@@ -24,6 +33,7 @@
 //! [`crate::exec`]). Mutation still requires `&mut AuthKv` — concurrency
 //! is over immutable snapshots, never shared writes.
 
+use std::mem;
 use std::sync::{Arc, OnceLock};
 
 use sbft_types::Digest;
@@ -65,7 +75,7 @@ fn branch_digest(crit_bit: u16, left: &Digest, right: &Digest) -> Digest {
     h.finalize()
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf {
         key_hash: [u8; 32],
@@ -84,7 +94,7 @@ enum Node {
 impl Node {
     /// The node's Merkle digest, computed on first use and cached in the
     /// node. Shared (copy-on-write) subtrees keep their filled cells, so
-    /// after a batch of writes only the freshly-built spine re-hashes.
+    /// after a batch of writes only the written paths re-hash.
     fn digest(&self) -> Digest {
         match self {
             Node::Leaf {
@@ -108,20 +118,35 @@ impl Node {
         })
     }
 
-    fn branch(crit_bit: u16, left: Arc<Node>, right: Arc<Node>) -> Arc<Node> {
-        Arc::new(Node::Branch {
-            crit_bit,
-            left,
-            right,
-            digest: OnceLock::new(),
-        })
+    /// Descends one level on a write: makes the branch behind `slot`
+    /// writable — mutated in place when nothing else holds it, copied
+    /// only when a snapshot shares it — clears its cached digest (the
+    /// write below changes it) and returns the child `key_hash` leads to.
+    fn child_mut<'a>(slot: &'a mut Arc<Node>, key_hash: &[u8; 32]) -> &'a mut Arc<Node> {
+        match Arc::make_mut(slot) {
+            Node::Branch {
+                crit_bit,
+                left,
+                right,
+                digest,
+            } => {
+                digest.take();
+                if bit(key_hash, *crit_bit) {
+                    right
+                } else {
+                    left
+                }
+            }
+            Node::Leaf { .. } => unreachable!("writes descend through branches only"),
+        }
     }
 
-    /// Any leaf's hash under this node (used to steer crit-bit descent).
-    fn sample_hash(&self) -> &[u8; 32] {
-        match self {
-            Node::Leaf { key_hash, .. } => key_hash,
-            Node::Branch { left, .. } => left.sample_hash(),
+    /// The value of a leaf being dropped from the trie: moved out when
+    /// nothing else holds the leaf, cloned when a snapshot does.
+    fn into_value(leaf: Arc<Node>) -> Option<Vec<u8>> {
+        match Arc::unwrap_or_clone(leaf) {
+            Node::Leaf { value, .. } => Some(value),
+            Node::Branch { .. } => None,
         }
     }
 }
@@ -231,6 +256,27 @@ impl AuthKv {
             .unwrap_or(Digest::ZERO)
     }
 
+    /// The leaf `key_hash`'s bits lead to: the key's own leaf if it is
+    /// stored, else the stored key sharing the longest hash prefix with
+    /// it. `None` only when the store is empty.
+    fn leaf_for(&self, key_hash: &[u8; 32]) -> Option<&Node> {
+        let mut node = self.root.as_deref()?;
+        while let Node::Branch {
+            crit_bit,
+            left,
+            right,
+            ..
+        } = node
+        {
+            node = if bit(key_hash, *crit_bit) {
+                right
+            } else {
+                left
+            };
+        }
+        Some(node)
+    }
+
     /// Looks up a key.
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
         self.get_hashed(&*sha256(key).as_bytes(), key)
@@ -240,34 +286,11 @@ impl AuthKv {
     /// that touch the same keys repeatedly (a block's execute loop)
     /// memoize the hash instead of re-hashing per operation.
     pub fn get_hashed(&self, key_hash: &[u8; 32], key: &[u8]) -> Option<&[u8]> {
-        let key_hash = *key_hash;
-        let mut node = self.root.as_deref()?;
-        loop {
-            match node {
-                Node::Leaf {
-                    key: leaf_key,
-                    value,
-                    ..
-                } => {
-                    return if leaf_key.as_slice() == key {
-                        Some(value.as_slice())
-                    } else {
-                        None
-                    };
-                }
-                Node::Branch {
-                    crit_bit,
-                    left,
-                    right,
-                    ..
-                } => {
-                    node = if bit(&key_hash, *crit_bit) {
-                        right
-                    } else {
-                        left
-                    };
-                }
-            }
+        match self.leaf_for(key_hash)? {
+            Node::Leaf {
+                key: found, value, ..
+            } if found.as_slice() == key => Some(value),
+            _ => None,
         }
     }
 
@@ -284,79 +307,54 @@ impl AuthKv {
         key: Vec<u8>,
         value: Vec<u8>,
     ) -> Option<Vec<u8>> {
-        match self.root.take() {
-            None => {
-                self.root = Some(Node::leaf(key_hash, key, value));
-                self.len = 1;
-                None
+        // First descent, read-only: the crit bit is the first bit at which
+        // the key's hash differs from the leaf its bits lead to.
+        let Some(Node::Leaf {
+            key_hash: found, ..
+        }) = self.leaf_for(&key_hash)
+        else {
+            // An empty store: the key becomes the root.
+            self.root = Some(Node::leaf(key_hash, key, value));
+            self.len = 1;
+            return None;
+        };
+        let crit = first_diff_bit(found, &key_hash);
+        // Second descent, in place: past every branch that tests a bit
+        // before the crit bit (every branch, on an update).
+        let mut slot = self.root.as_mut().expect("a leaf was found");
+        while let Node::Branch { crit_bit, .. } = **slot {
+            if crit.is_some_and(|crit| crit < crit_bit) {
+                break;
             }
-            Some(root) => {
-                let (new_root, old) = Self::insert_rec(root, &key_hash, key, value);
-                self.root = Some(new_root);
-                if old.is_none() {
-                    self.len += 1;
-                }
-                old
-            }
+            slot = Node::child_mut(slot, &key_hash);
         }
-    }
-
-    fn insert_rec(
-        node: Arc<Node>,
-        key_hash: &[u8; 32],
-        key: Vec<u8>,
-        value: Vec<u8>,
-    ) -> (Arc<Node>, Option<Vec<u8>>) {
-        // Where does the new key's hash first diverge from this subtree?
-        // (The sample leaf shares the subtree's prefix up to its crit bit.)
-        let diff = first_diff_bit(node.sample_hash(), key_hash);
-        match &*node {
-            Node::Leaf {
-                value: old_value,
-                key_hash: lh,
-                ..
-            } => match diff {
-                // Same hash: an update of the same key (hash collisions are
-                // cryptographically negligible; treated as key update).
-                None => {
-                    let old = old_value.clone();
-                    (Node::leaf(*key_hash, key, value), Some(old))
-                }
-                Some(diff) => {
-                    let new_leaf = Node::leaf(*key_hash, key, value);
-                    let combined = if bit(lh, diff) {
-                        Node::branch(diff, new_leaf, node.clone())
-                    } else {
-                        Node::branch(diff, node.clone(), new_leaf)
-                    };
-                    (combined, None)
-                }
-            },
-            Node::Branch {
-                crit_bit,
-                left,
-                right,
-                ..
-            } => {
-                if let Some(diff) = diff.filter(|d| d < crit_bit) {
-                    // The new key splits off above this branch.
-                    let new_leaf = Node::leaf(*key_hash, key, value);
-                    let combined = if bit(node.sample_hash(), diff) {
-                        Node::branch(diff, new_leaf, node.clone())
-                    } else {
-                        Node::branch(diff, node.clone(), new_leaf)
-                    };
-                    (combined, None)
-                } else if bit(key_hash, *crit_bit) {
-                    // diff >= crit_bit (or hash already present): descend.
-                    let (new_right, old) = Self::insert_rec(right.clone(), key_hash, key, value);
-                    (Node::branch(*crit_bit, left.clone(), new_right), old)
-                } else {
-                    let (new_left, old) = Self::insert_rec(left.clone(), key_hash, key, value);
-                    (Node::branch(*crit_bit, new_left, right.clone()), old)
-                }
-            }
-        }
+        let Some(crit) = crit else {
+            // Same hash: an update of the stored key (hash collisions are
+            // cryptographically negligible).
+            let Node::Leaf {
+                value: old, digest, ..
+            } = Arc::make_mut(slot)
+            else {
+                unreachable!("an update descends to the key's leaf");
+            };
+            digest.take();
+            return Some(mem::replace(old, value));
+        };
+        // The new key splits off above the subtree at `slot`.
+        let leaf = Node::leaf(key_hash, key, value);
+        let (left, right) = if bit(&key_hash, crit) {
+            (Arc::clone(slot), leaf)
+        } else {
+            (leaf, Arc::clone(slot))
+        };
+        *slot = Arc::new(Node::Branch {
+            crit_bit: crit,
+            left,
+            right,
+            digest: OnceLock::new(),
+        });
+        self.len += 1;
+        None
     }
 
     /// Removes a key, returning its value if present.
@@ -366,60 +364,35 @@ impl AuthKv {
 
     /// [`AuthKv::remove`] with the key's SHA-256 already computed.
     pub fn remove_hashed(&mut self, key_hash: &[u8; 32], key: &[u8]) -> Option<Vec<u8>> {
-        let key_hash = *key_hash;
-        let root = self.root.take()?;
-        match Self::remove_rec(root, &key_hash, key) {
-            RemoveOutcome::NotFound(root) => {
-                self.root = Some(root);
-                None
-            }
-            RemoveOutcome::Removed(new_root, value) => {
-                self.root = new_root;
-                self.len -= 1;
-                Some(value)
-            }
+        // First descent, read-only: only a stored key changes the trie.
+        match self.leaf_for(key_hash)? {
+            Node::Leaf { key: found, .. } if found.as_slice() == key => self.len -= 1,
+            _ => return None,
         }
-    }
-
-    fn remove_rec(node: Arc<Node>, key_hash: &[u8; 32], key: &[u8]) -> RemoveOutcome {
-        match &*node {
-            Node::Leaf {
-                key: leaf_key,
-                value,
-                ..
-            } => {
-                if leaf_key.as_slice() == key {
-                    RemoveOutcome::Removed(None, value.clone())
-                } else {
-                    RemoveOutcome::NotFound(node.clone())
-                }
+        // Second descent, in place, to the branch above the key's leaf,
+        // whose other child then takes the branch's place.
+        let mut slot = self.root.as_mut()?;
+        while let Node::Branch {
+            crit_bit,
+            left,
+            right,
+            ..
+        } = &**slot
+        {
+            let (child, sibling) = if bit(key_hash, *crit_bit) {
+                (right, left)
+            } else {
+                (left, right)
+            };
+            if let Node::Leaf { .. } = **child {
+                let leaf = Arc::clone(child);
+                *slot = Arc::clone(sibling);
+                return Node::into_value(leaf);
             }
-            Node::Branch {
-                crit_bit,
-                left,
-                right,
-                ..
-            } => {
-                let go_right = bit(key_hash, *crit_bit);
-                let child = if go_right { right } else { left };
-                match Self::remove_rec(child.clone(), key_hash, key) {
-                    RemoveOutcome::NotFound(_) => RemoveOutcome::NotFound(node.clone()),
-                    RemoveOutcome::Removed(None, value) => {
-                        // Collapse: the sibling replaces the branch.
-                        let sibling = if go_right { left } else { right };
-                        RemoveOutcome::Removed(Some(sibling.clone()), value)
-                    }
-                    RemoveOutcome::Removed(Some(new_child), value) => {
-                        let new_node = if go_right {
-                            Node::branch(*crit_bit, left.clone(), new_child)
-                        } else {
-                            Node::branch(*crit_bit, new_child, right.clone())
-                        };
-                        RemoveOutcome::Removed(Some(new_node), value)
-                    }
-                }
-            }
+            slot = Node::child_mut(slot, key_hash);
         }
+        // The key's leaf is the root.
+        self.root.take().and_then(Node::into_value)
     }
 
     /// Builds a membership/absence proof for a key.
@@ -477,11 +450,6 @@ impl AuthKv {
         }
         Iter { stack }
     }
-}
-
-enum RemoveOutcome {
-    NotFound(Arc<Node>),
-    Removed(Option<Arc<Node>>, Vec<u8>),
 }
 
 /// Iterator over the trie's entries.
@@ -559,8 +527,8 @@ mod tests {
 
     #[test]
     fn update_existing_key_under_branch() {
-        // Regression: updating a key that is some subtree's sample leaf
-        // must descend, not split.
+        // Regression: updating a stored key must descend to its leaf,
+        // not split.
         let mut store = AuthKv::new();
         for i in 0..20u32 {
             store.insert(i.to_string().into_bytes(), b"v1".to_vec());
@@ -691,7 +659,7 @@ mod tests {
     fn lazy_digests_survive_snapshot_interleaving() {
         // Snapshots taken before digests are ever forced must still hash
         // to the same root as an eagerly-observed copy, and mutations
-        // after forcing must invalidate exactly the rebuilt spine.
+        // after forcing must invalidate exactly the written path.
         let mut store = AuthKv::new();
         for i in 0..32u32 {
             store.insert(i.to_string().into_bytes(), b"v1".to_vec());
@@ -781,6 +749,141 @@ mod tests {
                 backward.insert(k.clone(), v.clone());
             }
             assert_eq!(forward.root(), backward.root());
+        }
+    }
+
+    /// A `(key, value)` pair.
+    type Entry = (Vec<u8>, Vec<u8>);
+
+    /// A model of the store keyed by key hash: its iteration order is the
+    /// trie's, and [`reference_root`] hashes it.
+    type Model = BTreeMap<[u8; 32], Entry>;
+
+    /// The root of the canonical crit-bit trie over `entries`, built from
+    /// scratch: `entries` is keyed (so sorted) by key hash, and each level
+    /// splits on the first bit at which the smallest and largest hash
+    /// differ. Independent of [`AuthKv`]'s incremental write path.
+    fn reference_root(entries: &Model) -> Digest {
+        fn build(entries: &[(&[u8; 32], &Entry)]) -> Digest {
+            match entries {
+                [(_, (key, value))] => leaf_digest(key, value),
+                _ => {
+                    let crit = first_diff_bit(entries[0].0, entries[entries.len() - 1].0)
+                        .expect("distinct hashes");
+                    let split = entries.partition_point(|(hash, _)| !bit(hash, crit));
+                    branch_digest(crit, &build(&entries[..split]), &build(&entries[split..]))
+                }
+            }
+        }
+        let sorted: Vec<_> = entries.iter().collect();
+        if sorted.is_empty() {
+            Digest::ZERO
+        } else {
+            build(&sorted)
+        }
+    }
+
+    fn model_entries(model: &Model) -> Vec<Entry> {
+        model.values().cloned().collect()
+    }
+
+    fn store_entries(store: &AuthKv) -> Vec<Entry> {
+        store
+            .iter()
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .collect()
+    }
+
+    /// One seeded write against both the store and the model: a put to a
+    /// key from a 48-key space (an insert or an update) or a delete.
+    fn random_write(rng: &mut SplitMix64, store: &mut AuthKv, model: &mut Model) {
+        let key = (rng.next_u64() % 48).to_le_bytes().to_vec();
+        let hash = *sha256(&key).as_bytes();
+        if rng.next_u64().is_multiple_of(3) {
+            assert_eq!(
+                store.remove_hashed(&hash, &key),
+                model.remove(&hash).map(|(_, v)| v)
+            );
+        } else {
+            let value = random_value(rng, 12);
+            assert_eq!(
+                store.insert_hashed(hash, key.clone(), value.clone()),
+                model.insert(hash, (key, value)).map(|(_, v)| v)
+            );
+        }
+    }
+
+    #[test]
+    fn root_matches_reference_after_every_step() {
+        let mut rng = SplitMix64::new(0x54);
+        let mut store = AuthKv::new();
+        let mut model = Model::new();
+        for step in 0..1500 {
+            random_write(&mut rng, &mut store, &mut model);
+            assert_eq!(store.root(), reference_root(&model), "step {step}");
+            assert_eq!(store.len(), model.len());
+            assert_eq!(store_entries(&store), model_entries(&model));
+        }
+    }
+
+    #[test]
+    fn golden_root_of_a_seeded_store() {
+        // Pins the digest format: any change to leaf/branch hashing or to
+        // the trie's shape moves this root.
+        let mut rng = SplitMix64::new(0x55);
+        let mut store = AuthKv::new();
+        let mut model = Model::new();
+        for _ in 0..400 {
+            random_write(&mut rng, &mut store, &mut model);
+        }
+        assert_eq!(store.len(), 35);
+        assert_eq!(
+            store.root().to_hex(),
+            "75f2994879b43e6baea5988e90acb82ff8f2b279dc8d8aca37576ae260976c99"
+        );
+    }
+
+    #[test]
+    fn snapshots_never_see_later_writes() {
+        let mut rng = SplitMix64::new(0x56);
+        let mut store = AuthKv::new();
+        let mut model = Model::new();
+        // (snapshot, root, entries) as the writer stood when it was taken.
+        let mut snapshots: Vec<(AuthKv, Digest, Vec<Entry>)> = Vec::new();
+        for step in 0..1200 {
+            if step % 300 == 250 {
+                // Remove down to empty, then carry on re-inserting.
+                for (hash, (key, value)) in std::mem::take(&mut model) {
+                    assert_eq!(store.remove_hashed(&hash, &key), Some(value));
+                }
+                assert!(store.is_empty());
+                assert_eq!(store.root(), Digest::ZERO);
+            }
+            match rng.next_u64() % 16 {
+                // Take a snapshot; its root is captured from the model so
+                // the snapshot's own digests stay unforced until checked.
+                0 | 1 => {
+                    snapshots.push((store.clone(), reference_root(&model), model_entries(&model)))
+                }
+                // Force the writer's digests now and then, so later writes
+                // must clear cached digests on the path they touch.
+                2 => assert_eq!(store.root(), reference_root(&model)),
+                _ => random_write(&mut rng, &mut store, &mut model),
+            }
+            if step % 100 == 99 {
+                for (snap, root, entries) in &snapshots {
+                    assert_eq!(snap.root(), *root, "step {step}");
+                    assert_eq!(snap.len(), entries.len());
+                    assert_eq!(store_entries(snap), *entries);
+                }
+            }
+        }
+        assert!(snapshots.len() > 100);
+        assert_eq!(store.root(), reference_root(&model));
+        assert_eq!(store.len(), model.len());
+        assert_eq!(store_entries(&store), model_entries(&model));
+        for (hash, (key, value)) in &model {
+            assert_eq!(store.get_hashed(hash, key), Some(value.as_slice()));
         }
     }
 }

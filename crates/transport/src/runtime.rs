@@ -264,13 +264,17 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
         let effects = ctx.into_effects();
         self.events += 1;
         for (to, msg) in effects.sends {
-            self.metrics
-                .note_send(now, node_id, to, msg.label(), msg.wire_size());
             if to == node_id {
+                self.metrics
+                    .note_send(now, node_id, to, msg.label(), msg.wire_size());
                 // Skip the socket round-trip; order is still FIFO.
                 self.loopback.push_back((to, msg));
             } else {
-                self.transport.send_msg(to, &msg);
+                // Encode once: the bytes both size the send and go out.
+                let payload = msg.to_wire_bytes();
+                self.metrics
+                    .note_send(now, node_id, to, msg.label(), payload.len());
+                self.transport.send(to, payload);
             }
         }
         for (id, at, token) in effects.timers {
