@@ -1,8 +1,8 @@
 //! Micro-benchmark of the intra-block parallel execution pipeline: how
 //! fast the conflict scheduler + wave pool execute realistic blocks at
 //! different worker counts, isolated from consensus. This is the number
-//! that bounds how much replica CPU the `ExecPool` can absorb once
-//! whole-block execution leaves the node thread.
+//! that bounds how much replica CPU the execution thread can absorb
+//! once whole-block execution leaves the node thread.
 //!
 //! Two workloads, mirroring the seeded cross-check suite: a key-value
 //! block stream (random puts over a bounded key space — disjoint write

@@ -165,7 +165,6 @@ fn spawn_replica(
                 node_seed(seed, r),
                 spec.verify_threads,
                 spec.exec_threads,
-                || Box::new(KvService::new()),
             );
             drive(
                 &thread_stop,

@@ -1,392 +1,330 @@
-//! Execution offload: committed blocks leave the `!Send` node thread.
+//! The execution engine: how a replica runs committed blocks and keeps
+//! what it must answer for them.
 //!
-//! The replica's commit→execute→reply tail used to run the service — trie
-//! updates, result merkleization, root recomputation — inline in the
-//! message handler, serializing every block behind consensus on one
-//! thread. [`ExecPool`] moves that work to a dedicated executor thread
-//! that owns the service and an intra-block [`WavePool`]
-//! (`sbft_statedb::exec`); the node submits committed blocks in sequence
-//! order and drains [`ExecOutcome`]s when the executor wakes it through
-//! its own inbound path (the `ExecuteReady` self-message). The same
-//! handoff/FIFO discipline as the transport's verify pool: commands are a
-//! FIFO channel, completions come back in submission order because one
-//! executor thread processes them serially.
+//! The node thread submits committed blocks in sequence order. One
+//! executor step runs each block on the replica's [`Service`] and queues
+//! a completion; the node drains completions in submission order and
+//! emits the block's effects (π share, replies, execute-acks). The step
+//! runs in one of two places, and nothing else differs between them:
 //!
-//! [`ExecEngine`] is the seam the replica actually drives: `Inline` keeps
-//! the old synchronous path byte-identical (submit executes immediately;
-//! the completion is drained in the same handler invocation, preserving
-//! effect order), while `Offloaded` proxies to an [`ExecPool`] and
-//! answers the node's synchronous queries — state digest, per-op results
-//! and proofs, checkpoint snapshots — from a mirror updated as
-//! completions drain. State transfer bumps an epoch so completions from
-//! an abandoned execution prefix are dropped instead of corrupting the
-//! mirror.
+//! - **in place** (the default: the simulator and `exec_threads 1`): on
+//!   the node thread, inside [`ExecEngine::submit`], so the completion is
+//!   drained in the same handler invocation;
+//! - **on the `sbft-exec` thread** (after [`ExecEngine::offload`]): the
+//!   service moves to a dedicated thread with an intra-block
+//!   [`WavePool`], commands queue on a channel, and the thread wakes the
+//!   node after each completion (the `ExecuteReady` self-message).
+//!
+//! The engine keeps one per-seq store. Each drained block's
+//! [`BlockExecution`] (digest, results, results tree) stays until the
+//! block's checkpoint is stable; the replica serves execute-ack proofs
+//! from it. Each checkpoint candidate — a block at or past
+//! `last_stable + checkpoint_period` — also keeps a snapshot of the state
+//! right after it, so a checkpoint holds its own block's state even while
+//! later blocks are in flight. A stable checkpoint drops the store up to
+//! it and the snapshots that are no longer candidates. A state transfer
+//! clears the store and starts a new epoch: completions from an older
+//! epoch are dropped.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::thread::{Builder, JoinHandle};
 
-use sbft_crypto::MerkleTree;
-use sbft_statedb::{
-    results_tree, AuthKv, BlockExecution, ExecutionProof, RawOp, Service, WavePool,
-};
+use sbft_statedb::{AuthKv, BlockExecution, RawOp, Service, WavePool};
 use sbft_types::{Digest, SeqNum};
 
-/// Commands the node thread sends to the executor thread.
+/// Commands the node hands to the executor step.
 enum ExecCmd {
-    /// Execute the committed block at `seq`. Tagged with the epoch it was
-    /// submitted under so work outlived by a state transfer is skipped.
+    /// Execute the committed block at `seq`, under `epoch`; `snapshot`
+    /// asks for the post-block state (a checkpoint candidate).
     Execute {
         epoch: u64,
         seq: SeqNum,
         ops: Vec<RawOp>,
+        snapshot: bool,
     },
-    /// Replace the service state wholesale (state transfer) and enter a
-    /// new epoch.
+    /// Replace the service state wholesale (state transfer) and enter
+    /// `epoch`.
     Install {
         epoch: u64,
         state: AuthKv,
         seq: SeqNum,
         digest: Digest,
     },
-    /// Drop execution artifacts at or below `stable`.
-    Gc { stable: SeqNum },
 }
 
-/// One completed block, shipped back to the node thread.
-pub struct ExecOutcome {
-    /// Epoch the block was submitted under; stale epochs are dropped.
-    pub epoch: u64,
-    /// The service's execution output (results, roots, signed digest).
-    pub execution: BlockExecution,
-    /// Merkle tree over the block's results, for serving
-    /// [`ExecutionProof`]s without re-hashing on the node thread.
-    pub results_tree: MerkleTree,
-    /// O(1) snapshot of the post-block state, for checkpoints.
-    pub snapshot: AuthKv,
+/// One executed block: what the store keeps per sequence number.
+struct Executed {
+    block: BlockExecution,
+    /// The state right after the block, kept for checkpoint candidates.
+    snapshot: Option<AuthKv>,
 }
 
-/// Executor-thread handle: owns the service, runs blocks through the
-/// intra-block wave scheduler, ships outcomes back, and calls `wake`
-/// after each one so the node's poll loop notices.
-pub struct ExecPool {
-    cmd_tx: Option<Sender<ExecCmd>>,
-    done_rx: Receiver<ExecOutcome>,
-    executor: Option<JoinHandle<()>>,
-    initial_digest: Digest,
-    initial_executed: SeqNum,
-    initial_snapshot: AuthKv,
+/// A completion, tagged with the epoch its block was submitted under.
+type Completion = (u64, Executed);
+
+/// The executor step's state: the service, the intra-block wave pool and
+/// the epoch whose commands it honours.
+struct Executor {
+    service: Box<dyn Service>,
+    waves: WavePool,
+    epoch: u64,
+    done: Sender<Completion>,
 }
 
-impl ExecPool {
-    /// Spawns the executor thread around `service`. `exec_threads` sizes
-    /// the intra-block wave pool (1 = serial plan/apply on the executor
-    /// thread); `wake` is invoked after every completed block — deploy
-    /// wires it to inject an `ExecuteReady` frame into the node's inbound
-    /// queue.
-    pub fn new(
-        service: Box<dyn Service + Send>,
-        exec_threads: usize,
-        wake: Box<dyn Fn() + Send + Sync>,
-    ) -> Self {
-        let (cmd_tx, cmd_rx) = channel::<ExecCmd>();
-        let (done_tx, done_rx) = channel::<ExecOutcome>();
-        let initial_digest = service.state_digest();
-        let initial_executed = service.last_executed();
-        let initial_snapshot = service.snapshot();
-        let executor = Builder::new()
+impl Executor {
+    /// Runs one command; returns whether it queued a completion.
+    fn step(&mut self, cmd: ExecCmd) -> bool {
+        match cmd {
+            ExecCmd::Execute {
+                epoch,
+                seq,
+                ops,
+                snapshot,
+            } => {
+                // Abandoned by a state transfer, or (defensively) out of
+                // order.
+                if epoch != self.epoch || seq != self.service.last_executed().next() {
+                    return false;
+                }
+                let block = self.service.execute_block_parallel(seq, &ops, &self.waves);
+                let snapshot = snapshot.then(|| self.service.snapshot());
+                self.done
+                    .send((epoch, Executed { block, snapshot }))
+                    .is_ok()
+            }
+            ExecCmd::Install {
+                epoch,
+                state,
+                seq,
+                digest,
+            } => {
+                self.epoch = epoch;
+                self.service.install(state, seq, digest);
+                false
+            }
+        }
+    }
+}
+
+/// Where the executor step runs.
+enum Runner {
+    /// On the caller's thread, during `submit` and `install`.
+    InPlace(Executor),
+    /// On the `sbft-exec` thread.
+    Thread(ExecThread),
+}
+
+/// The `sbft-exec` thread and its command channel. Dropping it closes the
+/// channel, which ends the thread's loop, and joins the thread.
+#[derive(Default)]
+struct ExecThread {
+    cmds: Option<Sender<ExecCmd>>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl ExecThread {
+    /// Runs `executor`'s step on a new thread, with a `threads`-wide wave
+    /// pool, calling `wake` after each completion.
+    fn spawn(mut executor: Executor, threads: usize, wake: Box<dyn Fn() + Send>) -> Self {
+        let (cmds, intake) = channel::<ExecCmd>();
+        executor.waves = WavePool::new(threads);
+        let handle = Builder::new()
             .name("sbft-exec".into())
             .spawn(move || {
-                let wave_pool = WavePool::new(exec_threads);
-                let mut service = service;
-                let mut epoch = 0u64;
-                while let Ok(cmd) = cmd_rx.recv() {
-                    match cmd {
-                        ExecCmd::Execute {
-                            epoch: submitted,
-                            seq,
-                            ops,
-                        } => {
-                            if submitted != epoch {
-                                continue; // abandoned by a state transfer
-                            }
-                            if seq != service.last_executed().next() {
-                                continue; // defensive: out-of-order submit
-                            }
-                            let execution = service.execute_block_parallel(seq, &ops, &wave_pool);
-                            let outcome = ExecOutcome {
-                                epoch,
-                                results_tree: results_tree(&ops, &execution.results),
-                                snapshot: service.snapshot(),
-                                execution,
-                            };
-                            if done_tx.send(outcome).is_err() {
-                                break; // node side gone
-                            }
-                            wake();
-                        }
-                        ExecCmd::Install {
-                            epoch: new_epoch,
-                            state,
-                            seq,
-                            digest,
-                        } => {
-                            epoch = new_epoch;
-                            service.install(state, seq, digest);
-                        }
-                        ExecCmd::Gc { stable } => service.garbage_collect(stable),
+                while let Ok(cmd) = intake.recv() {
+                    if executor.step(cmd) {
+                        wake();
                     }
                 }
             })
             .expect("spawn execution thread");
-        ExecPool {
-            cmd_tx: Some(cmd_tx),
-            done_rx,
-            executor: Some(executor),
-            initial_digest,
-            initial_executed,
-            initial_snapshot,
-        }
-    }
-
-    fn send(&self, cmd: ExecCmd) {
-        self.cmd_tx
-            .as_ref()
-            .expect("executor alive")
-            .send(cmd)
-            .expect("execution thread exited");
-    }
-
-    fn try_recv(&self) -> Option<ExecOutcome> {
-        match self.done_rx.try_recv() {
-            Ok(outcome) => Some(outcome),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => panic!("execution thread exited"),
+        ExecThread {
+            cmds: Some(cmds),
+            handle: Some(handle),
         }
     }
 }
 
-impl Drop for ExecPool {
+impl Drop for ExecThread {
     fn drop(&mut self) {
-        self.cmd_tx.take();
-        if let Some(executor) = self.executor.take() {
-            let _ = executor.join();
+        self.cmds.take();
+        if let Some(handle) = self.handle.take() {
+            // A panic there was already reported, and the node side
+            // panicked on the closed completion queue.
+            let _ = handle.join();
         }
     }
 }
 
-/// The node-thread mirror of the offloaded service: everything the
-/// replica queries synchronously between completions.
-struct Mirror {
-    /// Last block whose completion has been drained.
-    last_executed: SeqNum,
-    /// State digest after `last_executed`.
-    digest: Digest,
-    /// Post-`last_executed` snapshot (checkpoints, state transfer).
-    snapshot: AuthKv,
-    /// Retained artifacts per drained block: state root, results tree,
-    /// results — the node serves replies, acks and proofs from these.
-    artifacts: BTreeMap<u64, (Digest, MerkleTree, Vec<Vec<u8>>)>,
+/// A replica's execution pipeline: one completion queue, one per-seq
+/// store of executions and checkpoint snapshots, one epoch rule.
+pub struct ExecEngine {
+    runner: Runner,
+    done: Receiver<Completion>,
+    store: BTreeMap<u64, Executed>,
     /// Current epoch; completions tagged with an older one are dropped.
     epoch: u64,
-    /// Next sequence number to hand to the executor (runs ahead of
-    /// `last_executed` while blocks are in flight).
+    /// Next block to submit (runs ahead of the drained frontier while
+    /// blocks are on the executor thread).
     next_submit: SeqNum,
-}
-
-/// How a replica executes committed blocks: inline on the node thread
-/// (simulator, tests, `--exec-threads 1` semantics preserved exactly) or
-/// offloaded to an [`ExecPool`].
-pub struct ExecEngine(Engine);
-
-enum Engine {
-    /// The pre-refactor path: execute synchronously during submit, queue
-    /// the completion for the drain that follows in the same handler.
-    Inline {
-        service: Box<dyn Service>,
-        completions: VecDeque<BlockExecution>,
-    },
-    /// Execution runs on the pool's executor thread; the node answers
-    /// queries from the mirror.
-    Offloaded { pool: ExecPool, mirror: Mirror },
+    /// State digest after the last drained block.
+    digest: Digest,
+    /// Last stable checkpoint: blocks at or past `stable +
+    /// checkpoint_period` are checkpoint candidates.
+    stable: SeqNum,
+    checkpoint_period: u64,
 }
 
 impl ExecEngine {
-    /// Wraps a service in the synchronous engine.
-    pub fn inline(service: Box<dyn Service>) -> Self {
-        ExecEngine(Engine::Inline {
-            service,
-            completions: VecDeque::new(),
-        })
-    }
-
-    /// Wraps an executor-thread handle; the mirror starts from the state
-    /// the pool's service was constructed with.
-    pub fn offloaded(pool: ExecPool) -> Self {
-        let mirror = Mirror {
-            last_executed: pool.initial_executed,
-            digest: pool.initial_digest,
-            snapshot: pool.initial_snapshot.clone(),
-            artifacts: BTreeMap::new(),
+    /// Wraps `service`, executing in place until [`Self::offload`].
+    pub fn new(service: Box<dyn Service>, checkpoint_period: u64) -> Self {
+        let (done_tx, done) = channel();
+        let next_submit = service.last_executed().next();
+        let digest = service.state_digest();
+        ExecEngine {
+            runner: Runner::InPlace(Executor {
+                service,
+                waves: WavePool::new(1),
+                epoch: 0,
+                done: done_tx,
+            }),
+            done,
+            store: BTreeMap::new(),
             epoch: 0,
-            next_submit: pool.initial_executed.next(),
-        };
-        ExecEngine(Engine::Offloaded { pool, mirror })
+            next_submit,
+            digest,
+            stable: SeqNum::ZERO,
+            checkpoint_period,
+        }
     }
 
-    /// `true` when execution happens away from the node thread.
-    pub fn is_offloaded(&self) -> bool {
-        matches!(self.0, Engine::Offloaded { .. })
+    /// Moves the service onto the `sbft-exec` thread, which runs each
+    /// block through a `threads`-wide [`WavePool`] and calls `wake` after
+    /// every completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if execution is already offloaded.
+    pub fn offload(&mut self, threads: usize, wake: Box<dyn Fn() + Send>) {
+        let runner = std::mem::replace(&mut self.runner, Runner::Thread(ExecThread::default()));
+        let Runner::InPlace(executor) = runner else {
+            panic!("execution is already offloaded");
+        };
+        self.runner = Runner::Thread(ExecThread::spawn(executor, threads, wake));
+    }
+
+    fn dispatch(&mut self, cmd: ExecCmd) {
+        match &mut self.runner {
+            Runner::InPlace(executor) => {
+                executor.step(cmd);
+            }
+            Runner::Thread(thread) => {
+                let cmds = thread.cmds.as_ref().expect("execution thread running");
+                cmds.send(cmd).expect("execution thread exited");
+            }
+        }
     }
 
     /// Next block to submit, in sequence order.
     pub fn next_submit(&self) -> SeqNum {
-        match &self.0 {
-            Engine::Inline { service, .. } => service.last_executed().next(),
-            Engine::Offloaded { mirror, .. } => mirror.next_submit,
-        }
+        self.next_submit
     }
 
-    /// Hands the committed block at `seq` to the execution pipeline.
-    /// Inline engines execute immediately; offloaded engines return once
-    /// the block is queued.
+    /// Hands the committed block at `seq` to the executor step.
     pub fn submit(&mut self, seq: SeqNum, ops: Vec<RawOp>) {
-        match &mut self.0 {
-            Engine::Inline {
-                service,
-                completions,
-            } => {
-                let execution = service.execute_block(seq, &ops);
-                completions.push_back(execution);
+        debug_assert_eq!(seq, self.next_submit, "blocks submit in sequence order");
+        self.next_submit = seq.next();
+        let snapshot = self.is_candidate(seq);
+        self.dispatch(ExecCmd::Execute {
+            epoch: self.epoch,
+            seq,
+            ops,
+            snapshot,
+        });
+    }
+
+    fn is_candidate(&self, seq: SeqNum) -> bool {
+        seq.get() >= self.stable.get() + self.checkpoint_period
+    }
+
+    /// Stores the next finished block, if any, and returns its sequence
+    /// number. Completions arrive in submission order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the execution thread died.
+    pub fn try_completion(&mut self) -> Option<SeqNum> {
+        loop {
+            let (epoch, mut executed) = match self.done.try_recv() {
+                Ok(completion) => completion,
+                Err(TryRecvError::Empty) => return None,
+                Err(TryRecvError::Disconnected) => panic!("execution thread exited"),
+            };
+            if epoch != self.epoch {
+                continue; // pre-install leftovers
             }
-            Engine::Offloaded { pool, mirror } => {
-                debug_assert_eq!(seq, mirror.next_submit, "blocks submit in sequence order");
-                mirror.next_submit = seq.next();
-                pool.send(ExecCmd::Execute {
-                    epoch: mirror.epoch,
-                    seq,
-                    ops,
-                });
+            let seq = executed.block.seq;
+            if !self.is_candidate(seq) {
+                executed.snapshot = None; // a checkpoint passed it meanwhile
             }
+            self.digest = executed.block.state_digest;
+            self.store.insert(seq.get(), executed);
+            return Some(seq);
         }
     }
 
-    /// Pops one finished block, if any, updating the mirror first so the
-    /// caller's queries during reply/ack emission see the post-block
-    /// state. Completions arrive in submission order.
-    pub fn try_completion(&mut self) -> Option<BlockExecution> {
-        match &mut self.0 {
-            Engine::Inline { completions, .. } => completions.pop_front(),
-            Engine::Offloaded { pool, mirror } => loop {
-                let outcome = pool.try_recv()?;
-                if outcome.epoch != mirror.epoch {
-                    continue; // pre-install leftovers
-                }
-                let execution = outcome.execution;
-                mirror.last_executed = execution.seq;
-                mirror.digest = execution.state_digest;
-                mirror.snapshot = outcome.snapshot;
-                mirror.artifacts.insert(
-                    execution.seq.get(),
-                    (
-                        execution.state_root,
-                        outcome.results_tree,
-                        execution.results.clone(),
-                    ),
-                );
-                return Some(execution);
-            },
-        }
+    /// The stored execution of block `seq`: present from its completion
+    /// until its checkpoint is stable.
+    pub fn execution(&self, seq: SeqNum) -> Option<&BlockExecution> {
+        self.store.get(&seq.get()).map(|executed| &executed.block)
+    }
+
+    /// The state right after block `seq`, if `seq` is a checkpoint
+    /// candidate that has completed.
+    pub fn checkpoint_state(&self, seq: SeqNum) -> Option<AuthKv> {
+        self.store.get(&seq.get())?.snapshot.clone()
     }
 
     /// The digest of the state after the last drained block.
     pub fn state_digest(&self) -> Digest {
-        match &self.0 {
-            Engine::Inline { service, .. } => service.state_digest(),
-            Engine::Offloaded { mirror, .. } => mirror.digest,
-        }
+        self.digest
     }
 
-    /// Builds the execution proof for operation `l` of block `seq`.
-    pub fn proof_of(&self, seq: SeqNum, l: usize) -> Option<ExecutionProof> {
-        match &self.0 {
-            Engine::Inline { service, .. } => service.proof_of(seq, l),
-            Engine::Offloaded { mirror, .. } => {
-                let (state_root, tree, _) = mirror.artifacts.get(&seq.get())?;
-                Some(ExecutionProof {
-                    state_root: *state_root,
-                    result_path: tree.proof(l)?,
-                })
-            }
-        }
-    }
-
-    /// The stored output of operation `l` of block `seq` (owned: the
-    /// offloaded mirror and the inline service store it differently).
-    pub fn result_of(&self, seq: SeqNum, l: usize) -> Option<Vec<u8>> {
-        match &self.0 {
-            Engine::Inline { service, .. } => service.result_of(seq, l).map(<[u8]>::to_vec),
-            Engine::Offloaded { mirror, .. } => mirror
-                .artifacts
-                .get(&seq.get())
-                .and_then(|(_, _, results)| results.get(l).cloned()),
-        }
-    }
-
-    /// Snapshot of the state after the last drained block.
-    pub fn snapshot(&self) -> AuthKv {
-        match &self.0 {
-            Engine::Inline { service, .. } => service.snapshot(),
-            Engine::Offloaded { mirror, .. } => mirror.snapshot.clone(),
-        }
-    }
-
-    /// Replaces the state wholesale (state transfer): enters a new epoch
-    /// so in-flight completions from the old prefix are dropped.
+    /// Replaces the state wholesale (state transfer) with the checkpoint
+    /// at `seq`: clears the store and enters a new epoch, so in-flight
+    /// completions from the old prefix are dropped.
     pub fn install(&mut self, state: AuthKv, seq: SeqNum, digest: Digest) {
-        match &mut self.0 {
-            Engine::Inline {
-                service,
-                completions,
-            } => {
-                completions.clear();
-                service.install(state, seq, digest);
-            }
-            Engine::Offloaded { pool, mirror } => {
-                mirror.epoch += 1;
-                mirror.last_executed = seq;
-                mirror.digest = digest;
-                mirror.snapshot = state.clone();
-                mirror.artifacts.clear();
-                mirror.next_submit = seq.next();
-                pool.send(ExecCmd::Install {
-                    epoch: mirror.epoch,
-                    state,
-                    seq,
-                    digest,
-                });
-            }
-        }
+        self.epoch += 1;
+        self.next_submit = seq.next();
+        self.digest = digest;
+        self.stable = seq;
+        self.store.clear();
+        self.dispatch(ExecCmd::Install {
+            epoch: self.epoch,
+            state,
+            seq,
+            digest,
+        });
     }
 
-    /// Drops execution artifacts for blocks `<= stable`.
+    /// The checkpoint at `stable` is stable: drops the blocks up to it,
+    /// and the snapshots of blocks that are no longer candidates.
     pub fn garbage_collect(&mut self, stable: SeqNum) {
-        match &mut self.0 {
-            Engine::Inline { service, .. } => service.garbage_collect(stable),
-            Engine::Offloaded { pool, mirror } => {
-                mirror.artifacts = mirror.artifacts.split_off(&(stable.get() + 1));
-                pool.send(ExecCmd::Gc { stable });
-            }
+        self.stable = stable;
+        self.store = self.store.split_off(&(stable.get() + 1));
+        let candidates = stable.get() + self.checkpoint_period;
+        for (_, executed) in self.store.range_mut(..candidates) {
+            executed.snapshot = None;
         }
     }
 
-    /// Direct access to the inline service (tests, sim harnesses).
-    /// `None` when execution is offloaded — the service lives on the
-    /// executor thread.
+    /// The service, while it executes in place (tests, sim harnesses);
+    /// `None` once it lives on the execution thread.
     pub fn service(&self) -> Option<&dyn Service> {
-        match &self.0 {
-            Engine::Inline { service, .. } => Some(service.as_ref()),
-            Engine::Offloaded { .. } => None,
+        match &self.runner {
+            Runner::InPlace(executor) => Some(executor.service.as_ref()),
+            Runner::Thread(_) => None,
         }
     }
 }
@@ -408,65 +346,99 @@ mod tests {
         .to_wire_bytes()
     }
 
-    fn drain_blocking(engine: &mut ExecEngine) -> BlockExecution {
+    fn drain_blocking(engine: &mut ExecEngine) -> SeqNum {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            if let Some(execution) = engine.try_completion() {
-                return execution;
+            if let Some(seq) = engine.try_completion() {
+                return seq;
             }
             assert!(Instant::now() < deadline, "executor never completed");
             std::thread::yield_now();
         }
     }
 
+    fn offloaded(threads: usize, checkpoint_period: u64) -> ExecEngine {
+        let mut engine = ExecEngine::new(Box::new(KvService::new()), checkpoint_period);
+        engine.offload(threads, Box::new(|| {}));
+        engine
+    }
+
     #[test]
     fn offloaded_engine_matches_inline_results() {
         let wakes = Arc::new(AtomicU64::new(0));
         let counter = Arc::clone(&wakes);
-        let pool = ExecPool::new(
-            Box::new(KvService::new()),
+        let mut offloaded = ExecEngine::new(Box::new(KvService::new()), 2);
+        offloaded.offload(
             2,
             Box::new(move || {
                 counter.fetch_add(1, Ordering::SeqCst);
             }),
         );
-        let mut offloaded = ExecEngine::offloaded(pool);
-        let mut inline = ExecEngine::inline(Box::new(KvService::new()));
+        let mut inline = ExecEngine::new(Box::new(KvService::new()), 2);
+        assert!(offloaded.service().is_none() && inline.service().is_some());
 
         for (seq, ops) in [
             (1u64, vec![put("a", "1"), put("b", "2")]),
             (2, vec![put("a", "3"), put("c", "4")]),
+            (3, vec![put("b", "5"), put("d", "6")]),
         ] {
             let seq = SeqNum::new(seq);
             assert_eq!(offloaded.next_submit(), seq);
             offloaded.submit(seq, ops.clone());
             inline.submit(seq, ops);
-            let got = drain_blocking(&mut offloaded);
-            let want = inline.try_completion().expect("inline is synchronous");
-            assert_eq!(got, want);
+            assert_eq!(drain_blocking(&mut offloaded), seq);
+            assert_eq!(
+                inline.try_completion(),
+                Some(seq),
+                "in place is synchronous"
+            );
+            let (got, want) = (offloaded.execution(seq), inline.execution(seq));
+            assert_eq!(got, want, "digests, results and results trees agree");
             assert_eq!(offloaded.state_digest(), inline.state_digest());
             assert_eq!(
-                offloaded.result_of(seq, 0),
-                inline.result_of(seq, 0),
-                "mirror serves results"
+                got.and_then(|e| e.proof(1)),
+                want.and_then(|e| e.proof(1)),
+                "both serve the same proofs"
             );
-            assert_eq!(
-                offloaded.proof_of(seq, 1).map(|p| p.state_root),
-                inline.proof_of(seq, 1).map(|p| p.state_root),
+            let (got, want) = (
+                offloaded.checkpoint_state(seq),
+                inline.checkpoint_state(seq),
             );
+            assert_eq!(got.is_some(), seq.get() >= 2, "candidates from seq 2 on");
             assert_eq!(
-                offloaded.snapshot().root(),
-                inline.snapshot().root(),
+                got.map(|s| s.root()),
+                want.map(|s| s.root()),
                 "checkpoint snapshots agree"
             );
         }
-        assert_eq!(wakes.load(Ordering::SeqCst), 2, "one wake per block");
+        assert_eq!(wakes.load(Ordering::SeqCst), 3, "one wake per block");
+    }
+
+    #[test]
+    fn checkpoint_state_is_its_own_blocks_state() {
+        // Blocks 2 and 3 are both candidates and both complete before the
+        // checkpoint at 2 is taken: the snapshot for 2 must not see 3.
+        let mut engine = offloaded(1, 2);
+        for s in 1..=3u64 {
+            engine.submit(SeqNum::new(s), vec![put("k", &s.to_string())]);
+        }
+        for s in 1..=3u64 {
+            assert_eq!(drain_blocking(&mut engine), SeqNum::new(s));
+        }
+        let two = engine.execution(SeqNum::new(2)).expect("stored").state_root;
+        let state = engine.checkpoint_state(SeqNum::new(2)).expect("candidate");
+        assert_eq!(state.root(), two);
+        assert_eq!(state.get(b"k"), Some(&b"2"[..]));
+        // The checkpoint at 2 passes 3: it is no longer a candidate.
+        engine.garbage_collect(SeqNum::new(2));
+        assert!(engine.execution(SeqNum::new(2)).is_none());
+        assert!(engine.execution(SeqNum::new(3)).is_some());
+        assert!(engine.checkpoint_state(SeqNum::new(3)).is_none());
     }
 
     #[test]
     fn install_drops_stale_completions() {
-        let pool = ExecPool::new(Box::new(KvService::new()), 1, Box::new(|| {}));
-        let mut engine = ExecEngine::offloaded(pool);
+        let mut engine = offloaded(1, 128);
         engine.submit(SeqNum::new(1), vec![put("old", "x")]);
 
         // A state transfer lands before the completion is drained:
@@ -484,22 +456,11 @@ mod tests {
         // The pre-install completion (epoch 0) must be swallowed, and
         // post-install blocks execute on the transferred state.
         engine.submit(SeqNum::new(6), vec![put("k", "6")]);
-        let exec = drain_blocking(&mut engine);
-        assert_eq!(exec.seq, SeqNum::new(6));
+        let seq = drain_blocking(&mut engine);
+        assert_eq!(seq, SeqNum::new(6));
+        let exec = engine.execution(seq).expect("stored");
         assert_eq!(exec.results[0], b"5".to_vec(), "sees transferred state");
         assert_eq!(engine.state_digest(), exec.state_digest);
-    }
-
-    #[test]
-    fn garbage_collect_prunes_the_mirror() {
-        let pool = ExecPool::new(Box::new(KvService::new()), 1, Box::new(|| {}));
-        let mut engine = ExecEngine::offloaded(pool);
-        for s in 1..=4u64 {
-            engine.submit(SeqNum::new(s), vec![put("k", &s.to_string())]);
-            drain_blocking(&mut engine);
-        }
-        engine.garbage_collect(SeqNum::new(2));
-        assert!(engine.result_of(SeqNum::new(2), 0).is_none());
-        assert!(engine.result_of(SeqNum::new(3), 0).is_some());
+        assert!(engine.execution(SeqNum::new(1)).is_none());
     }
 }

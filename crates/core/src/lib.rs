@@ -50,7 +50,7 @@ pub mod viewchange;
 
 pub use client::ClientNode;
 pub use config::{ProtocolConfig, VariantFlags};
-pub use exec::{ExecEngine, ExecOutcome, ExecPool};
+pub use exec::ExecEngine;
 pub use keys::{
     KeyMaterial, PublicKeys, ReplicaKeys, DOMAIN_HEARTBEAT, DOMAIN_PI, DOMAIN_SIGMA, DOMAIN_TAU,
 };

@@ -30,7 +30,7 @@ use sbft_telemetry::{Phase, PhaseTracer};
 use sbft_wire::{ClientSignature, Wire};
 
 use crate::config::ProtocolConfig;
-use crate::exec::{ExecEngine, ExecPool};
+use crate::exec::ExecEngine;
 use crate::keys::{
     KeyMaterial, PublicKeys, ReplicaKeys, DOMAIN_HEARTBEAT, DOMAIN_PI, DOMAIN_SIGMA, DOMAIN_TAU,
 };
@@ -110,8 +110,6 @@ struct Slot {
     committed: bool,
     // --- execution state ---
     exec_digest: Option<Digest>,
-    state_root: Option<Digest>,
-    results_root: Option<Digest>,
     // --- E-collector state ---
     pi_shares: BTreeMap<Digest, BTreeMap<u16, SignatureShare>>,
     exec_proof: Option<Signature>,
@@ -147,9 +145,9 @@ pub struct ReplicaNode {
     id: ReplicaId,
     public: std::sync::Arc<PublicKeys>,
     my_keys: ReplicaKeys,
-    /// Commit→execute→reply pipeline: inline (the pre-offload path, used
-    /// by the simulator and `--exec-threads 1` runtimes) or handed to a
-    /// dedicated executor thread (see [`Self::offload_execution`]).
+    /// Commit→execute→reply pipeline and the per-block store that serves
+    /// execute-ack proofs and checkpoint state. Executes in place unless
+    /// [`Self::offload_execution`] moved the service to its own thread.
     engine: ExecEngine,
     /// Slot-digest map shared with the verification pipeline: the node
     /// publishes each slot's block digest so workers can pre-verify σ/τ
@@ -267,12 +265,13 @@ impl ReplicaNode {
             config.heartbeat_interval,
             config.suspicion_threshold,
         );
+        let engine = ExecEngine::new(service, config.checkpoint_period);
         ReplicaNode {
             my_keys: keys.replicas[id.as_usize()].clone(),
             public: keys.public.clone(),
             config,
             id,
-            engine: ExecEngine::inline(service),
+            engine,
             shares: None,
             verifier: Arc::new(SbftPreVerifier::new(keys.public.clone())),
             cost,
@@ -319,20 +318,14 @@ impl ReplicaNode {
         self.behavior = behavior;
     }
 
-    /// Moves block execution off this node's thread: committed blocks are
-    /// handed to `pool`'s executor thread and their effects (replies,
-    /// π shares, acks) are emitted as completions drain — triggered by the
-    /// pool's wake callback injecting [`SbftMsg::ExecuteReady`]. The
-    /// pool's service must start from the same state as the one this
-    /// replica was constructed with (both fresh, or both installed from
-    /// the same snapshot). Call before the node processes any message.
-    pub fn offload_execution(&mut self, pool: ExecPool) {
-        assert_eq!(
-            self.last_executed,
-            SeqNum::ZERO,
-            "offload_execution must be called before any block executes"
-        );
-        self.engine = ExecEngine::offloaded(pool);
+    /// Moves this replica's service onto its own execution thread, which
+    /// runs each committed block through a `threads`-wide wave pool. The
+    /// block's effects (replies, π shares, acks) are emitted as
+    /// completions drain, after `wake` has roused the node — deploy makes
+    /// it inject [`SbftMsg::ExecuteReady`]. Call before handing the
+    /// replica to a driver.
+    pub fn offload_execution(&mut self, threads: usize, wake: Box<dyn Fn() + Send>) {
+        self.engine.offload(threads, wake);
     }
 
     /// Attaches a slot-digest map to this replica and its inbound
@@ -425,16 +418,24 @@ impl ReplicaNode {
         self.last_stable
     }
 
-    /// The service's current state digest (for cross-replica agreement
-    /// checks in tests). Offloaded engines answer from the mirror: the
-    /// state after the last *drained* block.
+    /// The digest of the state after the last *drained* block (for
+    /// cross-replica agreement checks in tests).
     pub fn state_digest(&self) -> Digest {
         self.engine.state_digest()
     }
 
+    /// The stable checkpoint's integrity pair: the root of the state this
+    /// replica stored for it, and the state root its certificate binds
+    /// (`None` before the first checkpoint). The two differ only if the
+    /// stored state is not the checkpoint block's.
+    pub fn checkpoint_roots(&self) -> Option<(Digest, Digest)> {
+        let stored = self.ledger.checkpoint()?.state.root();
+        let (certified, _) = self.stable_roots?;
+        Some((stored, certified))
+    }
+
     /// Read-only access to the service. Panics when execution is
-    /// offloaded — the service lives on the executor thread; use the
-    /// engine-level queries instead.
+    /// offloaded — the service lives on the executor thread.
     pub fn service(&self) -> &dyn Service {
         self.engine
             .service()
@@ -1320,11 +1321,10 @@ impl ReplicaNode {
                 .iter()
                 .map(|r| r.op.clone())
                 .collect();
-            // Inline: executes now, completion drained below in the same
-            // handler (old effect order preserved exactly). Offloaded:
-            // queued to the executor thread — the loop keeps submitting
-            // consecutive committed blocks, pipelining execution behind
-            // consensus.
+            // In place: executes now, completion drained below in the
+            // same handler. Offloaded: queued to the execution thread —
+            // the loop keeps submitting consecutive committed blocks,
+            // pipelining execution behind consensus.
             self.engine.submit(next, ops);
             self.drain_exec_completions(ctx);
         }
@@ -1332,23 +1332,21 @@ impl ReplicaNode {
     }
 
     /// Emits the post-execution effects — π share, replies/acks, tracer
-    /// stamps — for every block the engine has finished. Inline engines
-    /// complete during `submit`; offloaded engines complete when the
-    /// executor's wake ([`SbftMsg::ExecuteReady`]) lands.
+    /// stamps — for every block the engine has finished. In-place
+    /// execution completes during `submit`; offloaded execution completes
+    /// when the executor's wake ([`SbftMsg::ExecuteReady`]) lands.
     fn drain_exec_completions(&mut self, ctx: &mut Context<'_, SbftMsg>) {
-        while let Some(exec) = self.engine.try_completion() {
-            let next = exec.seq;
+        while let Some(next) = self.engine.try_completion() {
             let requests = self
                 .slots
                 .get(&next.get())
                 .and_then(|s| s.requests.clone())
                 .expect("completed block's slot is retained until checkpoint");
-            if !self.engine.is_offloaded() {
-                // Offloaded execution spends real worker-thread time; the
-                // modeled charge applies only when the node thread itself
-                // did the work.
-                ctx.charge_cpu_ns(exec.cpu_cost_ns / self.config.execution_parallelism.max(1));
-            }
+            let exec = self
+                .engine
+                .execution(next)
+                .expect("a completed block is stored until its checkpoint");
+            ctx.charge_cpu_ns(exec.cpu_cost_ns / self.config.execution_parallelism.max(1));
             ctx.incr("executed_blocks", 1);
             self.last_executed = next;
             for (l, request) in requests.iter().enumerate() {
@@ -1368,18 +1366,14 @@ impl ReplicaNode {
                     self.client_table.insert(key.0, last);
                 }
             }
-            {
-                let slot = self.slot(next);
-                slot.exec_digest = Some(exec.state_digest);
-                slot.state_root = Some(exec.state_root);
-                slot.results_root = Some(exec.results_root);
-            }
+            let digest = exec.state_digest;
+            self.slot(next).exec_digest = Some(digest);
             // Sign the state with the π share and send to E-collectors.
             ctx.charge_cpu_ns(self.cost.sign_share());
-            let share = self.my_keys.pi.sign(DOMAIN_PI, &exec.state_digest);
+            let share = self.my_keys.pi.sign(DOMAIN_PI, &digest);
             let msg = SbftMsg::SignState {
                 seq: next,
-                digest: exec.state_digest,
+                digest,
                 share,
             };
             for &collector in self.e_collectors(next).iter() {
@@ -1387,9 +1381,9 @@ impl ReplicaNode {
             }
             // Direct replies (f+1 acknowledgement variants).
             if !self.config.flags.single_client_ack {
+                let exec = self.engine.execution(next).expect("just stored");
                 for (l, request) in requests.iter().enumerate() {
-                    let result = exec.results[l].clone();
-                    let reply = self.make_reply(next, request, result);
+                    let reply = self.make_reply(next, request, exec.results[l].clone());
                     self.trace_phase(ctx, request.client.get(), request.timestamp, Phase::Replied);
                     ctx.send(self.client_node(request.client), reply);
                 }
@@ -1516,9 +1510,9 @@ impl ReplicaNode {
         let digest = slot.exec_digest.expect("checked above");
         let requests = slot.requests.clone().expect("executed slot has requests");
         self.slot(seq).acks_sent = true;
+        let exec = self.engine.execution(seq);
         for (l, request) in requests.iter().enumerate() {
-            let (Some(result), Some(proof)) =
-                (self.engine.result_of(seq, l), self.engine.proof_of(seq, l))
+            let Some((result, proof)) = exec.and_then(|e| Some((e.results.get(l)?, e.proof(l)?)))
             else {
                 continue;
             };
@@ -1528,7 +1522,7 @@ impl ReplicaNode {
                 index: l as u64,
                 client: request.client,
                 timestamp: request.timestamp,
-                result,
+                result: result.clone(),
                 digest,
                 pi,
                 proof,
@@ -1595,11 +1589,17 @@ impl ReplicaNode {
             self.request_state_transfer(ctx, self.id.as_usize());
             return;
         }
-        let (Some(state_root), Some(results_root)) = (slot.state_root, slot.results_root) else {
+        let Some(exec) = self.engine.execution(seq) else {
+            return;
+        };
+        let (state_root, results_root) = (exec.state_root, exec.results_root());
+        // The state right after `seq`, not after the last executed block:
+        // with blocks in flight those differ, and the certificate binds
+        // `seq`'s roots.
+        let Some(state) = self.engine.checkpoint_state(seq) else {
             return;
         };
         ctx.incr("checkpoints", 1);
-        let state = self.engine.snapshot();
         if let Some(dur) = &mut self.durability {
             dur.store_checkpoint(&Snapshot::of_checkpoint(
                 seq,
@@ -1619,9 +1619,9 @@ impl ReplicaNode {
         self.stable_cert = Some((digest, pi));
         self.stable_roots = Some((state_root, results_root));
         // Garbage-collect protocol state and the checkpointed blocks'
-        // execution artifacts: only execute-acks read those, and a slot's
-        // acks end with the slot (client retries are answered from the
-        // client table).
+        // executions: only execute-acks read those, and a slot's acks end
+        // with the slot (client retries are answered from the client
+        // table).
         self.engine.garbage_collect(seq);
         self.slots = self.slots.split_off(&(seq.get() + 1));
         // Slots at or below the checkpoint can no longer combine: drop
@@ -1875,8 +1875,6 @@ impl ReplicaNode {
                             my_sigma_share: sigma,
                             prepared: slot.prepared,
                             exec_digest: slot.exec_digest,
-                            state_root: slot.state_root,
-                            results_root: slot.results_root,
                             ..Slot::default()
                         };
                     }

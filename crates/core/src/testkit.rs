@@ -423,6 +423,10 @@ pub struct ReplicaSnapshot {
     pub blocks: Vec<(u64, Digest)>,
     /// `(seq, client, timestamp)` of every request in those blocks.
     pub requests: Vec<(u64, u32, u64)>,
+    /// Root of the state the replica stored for its stable checkpoint.
+    pub checkpoint_state_root: Option<Digest>,
+    /// The state root that checkpoint's certificate binds.
+    pub checkpoint_cert_root: Option<Digest>,
 }
 
 impl ReplicaSnapshot {
@@ -446,6 +450,7 @@ impl ReplicaSnapshot {
                 }
             }
         }
+        let checkpoint = replica.checkpoint_roots();
         ReplicaSnapshot {
             replica: r,
             view: replica.view().get(),
@@ -454,6 +459,8 @@ impl ReplicaSnapshot {
             state_digest: replica.state_digest(),
             blocks,
             requests,
+            checkpoint_state_root: checkpoint.map(|(stored, _)| stored),
+            checkpoint_cert_root: checkpoint.map(|(_, certified)| certified),
         }
     }
 }
@@ -469,6 +476,8 @@ impl ReplicaSnapshot {
 ///    replica never executes past a hole).
 /// 3. **No duplicate execution** — no `(client, timestamp)` pair appears
 ///    in two committed blocks of one replica.
+/// 4. **Checkpoint integrity** — the state a replica stored for its
+///    stable checkpoint has the root the checkpoint's certificate binds.
 pub fn invariant_violation(snapshots: &[ReplicaSnapshot]) -> Option<String> {
     let mut blocks: std::collections::BTreeMap<u64, (usize, Digest)> =
         std::collections::BTreeMap::new();
@@ -516,6 +525,17 @@ pub fn invariant_violation(snapshots: &[ReplicaSnapshot]) -> Option<String> {
                 return Some(format!(
                     "DUPLICATE: replica {r} committed request (client {client}, ts {timestamp}) \
                      at both seq {first} and seq {seq}"
+                ));
+            }
+        }
+        if let (Some(stored), Some(certified)) =
+            (snap.checkpoint_state_root, snap.checkpoint_cert_root)
+        {
+            if stored != certified {
+                return Some(format!(
+                    "CHECKPOINT: replica {r} stored state root {stored} for its checkpoint at \
+                     seq {}, whose certificate binds state root {certified}",
+                    snap.last_stable
                 ));
             }
         }
@@ -861,6 +881,75 @@ mod tests {
             "A completed from f+1 replies"
         );
         cluster.assert_agreement();
+    }
+
+    /// A checkpoint holds its own block's state. With blocks in flight, a
+    /// replica used to store the state after its *last executed* block
+    /// under the checkpoint's roots: every transfer of such a checkpoint
+    /// failed the receiver's root check, and an intact restart replayed
+    /// its WAL on top of a later state.
+    #[test]
+    fn intact_restart_catches_up_through_a_checkpoint_transfer() {
+        let mut config = ClusterConfig::small(1, 0, VariantFlags::SBFT);
+        config.protocol.checkpoint_period = 16;
+        config.clients = 8;
+        config.workload = Workload::KvPut {
+            requests: 200,
+            ops_per_request: 1,
+            key_space: 64,
+            value_len: 16,
+        };
+        let mut cluster = Cluster::build(config);
+        cluster.run_for(SimDuration::from_secs(1));
+        assert_eq!(cluster.total_completed(), 1600, "quiescent");
+        let frontier = cluster.replica(0).last_executed();
+        cluster.restart_replica_intact(3, |_| {});
+        cluster.run_for(SimDuration::from_secs(10));
+        assert_eq!(
+            cluster.replica(3).last_executed(),
+            frontier,
+            "replica 3 reaches the cluster frontier"
+        );
+        assert!(
+            cluster.sim.metrics().counter("state_transfers_completed") > 0,
+            "through a completed state transfer"
+        );
+        cluster.assert_agreement();
+    }
+
+    #[test]
+    fn invariant_violation_names_each_broken_invariant() {
+        type Breakage = fn(&mut ReplicaSnapshot);
+        fn d(b: u8) -> Digest {
+            Digest::new([b; 32])
+        }
+        let healthy = |replica: usize| ReplicaSnapshot {
+            replica,
+            view: 0,
+            last_stable: 0,
+            last_executed: 2,
+            state_digest: d(9),
+            blocks: vec![(1, d(1)), (2, d(2))],
+            requests: vec![(1, 0, 1), (2, 0, 2)],
+            checkpoint_state_root: Some(d(5)),
+            checkpoint_cert_root: Some(d(5)),
+        };
+        assert_eq!(invariant_violation(&[healthy(0), healthy(1)]), None);
+        let rows: [(&str, Breakage); 5] = [
+            ("SAFETY", |s| s.blocks[1].1 = d(3)),
+            ("SAFETY", |s| s.state_digest = d(8)),
+            ("MONOTONE", |s| {
+                s.blocks.remove(0);
+            }),
+            ("DUPLICATE", |s| s.requests[1].2 = 1),
+            ("CHECKPOINT", |s| s.checkpoint_state_root = Some(d(6))),
+        ];
+        for (kind, break_it) in rows {
+            let mut broken = healthy(1);
+            break_it(&mut broken);
+            let violation = invariant_violation(&[healthy(0), broken]).expect(kind);
+            assert!(violation.starts_with(kind), "{kind}: {violation}");
+        }
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl MerkleProof {
 /// assert!(proof.verify(&tree.root(), b"c"));
 /// assert!(!proof.verify(&tree.root(), b"x"));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleTree {
     // levels[0] = leaf hashes, last level = [root]
     levels: Vec<Vec<Digest>>,

@@ -13,8 +13,8 @@ use sbft_types::{Digest, SeqNum, U256};
 
 use sbft_crypto::{sha256, Sha256};
 use sbft_statedb::{
-    execute_ops_parallel, AuthKv, BlockArtifacts, BlockExecution, ExecutionProof, OpExecutor,
-    PlannedOp, RawOp, ReadWriteSet, Service, WavePool, WriteCmd,
+    execute_ops_parallel, AuthKv, BlockExecution, OpExecutor, PlannedOp, RawOp, ReadWriteSet,
+    Service, WavePool, WriteCmd,
 };
 use sbft_wire::{DecodeError, Decoder, Encoder, Wire};
 
@@ -352,7 +352,6 @@ pub struct EvmService {
     state: AuthKv,
     last_executed: SeqNum,
     last_digest: Digest,
-    artifacts: BlockArtifacts,
     cost: EvmCostModel,
     /// Total gas consumed since construction (throughput diagnostics).
     pub total_gas: u64,
@@ -395,7 +394,21 @@ impl EvmService {
         self.state = state;
         self.last_executed = seq;
         self.last_digest = digest;
-        self.artifacts = BlockArtifacts::new();
+    }
+
+    /// Ends a block on either execution path: records the new frontier
+    /// and returns the block's execution.
+    fn finish(
+        &mut self,
+        seq: SeqNum,
+        ops: &[RawOp],
+        results: Vec<Vec<u8>>,
+        cpu_cost_ns: u64,
+    ) -> BlockExecution {
+        let execution = BlockExecution::finish(seq, self.state.root(), ops, results, cpu_cost_ns);
+        self.last_executed = seq;
+        self.last_digest = execution.state_digest;
+        execution
     }
 }
 
@@ -596,18 +609,7 @@ impl Service for EvmService {
             cpu += self.cost.per_tx_ns + self.cost.per_gas_ns * gas;
             results.push(receipt.to_bytes());
         }
-        let state_root = self.state.root();
-        let (digest, results_root) = self.artifacts.record(seq, state_root, ops, results.clone());
-        self.last_executed = seq;
-        self.last_digest = digest;
-        BlockExecution {
-            seq,
-            state_digest: digest,
-            state_root,
-            results_root,
-            results,
-            cpu_cost_ns: cpu,
-        }
+        self.finish(seq, ops, results, cpu)
     }
 
     fn execute_block_parallel(
@@ -628,20 +630,7 @@ impl Service for EvmService {
             std::sync::Arc::new(EvmPlanner::new(self.cost.clone(), seq));
         let block = execute_ops_parallel(&mut self.state, ops, &planner, pool);
         self.total_gas += block.aux;
-        let cpu = self.cost.commit_ns + block.cost_ns;
-        let results = block.results;
-        let state_root = self.state.root();
-        let (digest, results_root) = self.artifacts.record(seq, state_root, ops, results.clone());
-        self.last_executed = seq;
-        self.last_digest = digest;
-        BlockExecution {
-            seq,
-            state_digest: digest,
-            state_root,
-            results_root,
-            results,
-            cpu_cost_ns: cpu,
-        }
+        self.finish(seq, ops, block.results, self.cost.commit_ns + block.cost_ns)
     }
 
     fn state_digest(&self) -> Digest {
@@ -650,18 +639,6 @@ impl Service for EvmService {
 
     fn last_executed(&self) -> SeqNum {
         self.last_executed
-    }
-
-    fn proof_of(&self, seq: SeqNum, l: usize) -> Option<ExecutionProof> {
-        self.artifacts.proof_of(seq, l)
-    }
-
-    fn result_of(&self, seq: SeqNum, l: usize) -> Option<&[u8]> {
-        self.artifacts.result_of(seq, l)
-    }
-
-    fn garbage_collect(&mut self, stable: SeqNum) {
-        self.artifacts.garbage_collect(stable);
     }
 
     fn snapshot(&self) -> AuthKv {
@@ -961,8 +938,8 @@ mod tests {
         }
         .to_wire_bytes();
         let exec = svc.execute_block(SeqNum::new(2), &[op.clone()]);
-        let proof = svc.proof_of(SeqNum::new(2), 0).unwrap();
-        let val = svc.result_of(SeqNum::new(2), 0).unwrap();
+        let proof = exec.proof(0).unwrap();
+        let val = &exec.results[0];
         assert!(verify_execution(
             &exec.state_digest,
             &op,

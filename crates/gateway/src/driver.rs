@@ -93,7 +93,7 @@ pub struct OpenLoopStats {
     /// Arrivals dropped because every session was busy — the open loop
     /// outran its own session pool, not the cluster.
     pub exhausted: u64,
-    /// Arrival debt dropped by the [`MAX_BURST`] stall guard.
+    /// Arrival debt dropped by the `MAX_BURST` stall guard.
     pub overrun: u64,
     /// Outstanding requests abandoned by the give-up sweep.
     pub timed_out: u64,

@@ -1,8 +1,9 @@
 //! PBFT baseline messages.
 //!
 //! The "scale optimized PBFT" of §IX: public-key signed server messages
-//! (following [31]), batching, and the classic all-to-all prepare/commit
-//! pattern whose quadratic cost SBFT's collectors remove.
+//! (following the paper's reference \[31\]), batching, and the classic
+//! all-to-all prepare/commit pattern whose quadratic cost SBFT's
+//! collectors remove.
 
 use sbft_types::{ClientId, Digest, ReplicaId, SeqNum, ViewNum};
 

@@ -78,6 +78,16 @@ impl PbftConfig {
     }
 }
 
+/// A client's latest executed request and its result: a retry of it is
+/// answered with a [`PbftMsg::Reply`] however long ago it executed, and
+/// older timestamps are stale.
+#[derive(Debug)]
+struct LastReply {
+    timestamp: u64,
+    seq: SeqNum,
+    result: Vec<u8>,
+}
+
 #[derive(Debug, Default)]
 struct Slot {
     view: Option<ViewNum>,
@@ -110,8 +120,8 @@ pub struct PbftReplica {
     next_proposal: SeqNum,
     batch_timer_set: bool,
     proposed_table: HashMap<u32, u64>,
-    client_table: HashMap<u32, u64>,
-    executed_requests: HashMap<(u32, u64), (SeqNum, u32)>,
+    /// Each client's latest executed request, kept to answer its retries.
+    client_table: HashMap<u32, LastReply>,
     forwarded: HashMap<(u32, u64), ()>,
 
     checkpoint_votes: BTreeMap<u64, BTreeMap<u32, Digest>>,
@@ -147,7 +157,6 @@ impl PbftReplica {
             batch_timer_set: false,
             proposed_table: HashMap::new(),
             client_table: HashMap::new(),
-            executed_requests: HashMap::new(),
             forwarded: HashMap::new(),
             checkpoint_votes: BTreeMap::new(),
             vc_messages: BTreeMap::new(),
@@ -239,20 +248,16 @@ impl PbftReplica {
             return;
         }
         let key = (request.client.get(), request.timestamp);
-        if let Some(&(seq, index)) = self.executed_requests.get(&key) {
-            if let Some(result) = self.service.result_of(seq, index as usize) {
-                let reply = self.make_reply(seq, &request, result.to_vec());
+        if let Some(last) = self.client_table.get(&key.0) {
+            // Already executed: answer directly (client retry path).
+            if request.timestamp == last.timestamp {
+                let reply = self.make_reply(last.seq, &request, last.result.clone());
                 ctx.send(self.client_node(request.client), reply);
                 return;
             }
-        }
-        if self
-            .client_table
-            .get(&request.client.get())
-            .map(|&ts| request.timestamp <= ts)
-            .unwrap_or(false)
-        {
-            return;
+            if request.timestamp < last.timestamp {
+                return;
+            }
         }
         if self.is_primary() && !self.in_view_change {
             let proposed = self
@@ -529,10 +534,19 @@ impl PbftReplica {
             self.vc_attempts = 0;
             for (l, request) in requests.iter().enumerate() {
                 let key = (request.client.get(), request.timestamp);
-                self.executed_requests.insert(key, (next, l as u32));
                 self.forwarded.remove(&key);
-                let entry = self.client_table.entry(request.client.get()).or_insert(0);
-                *entry = (*entry).max(request.timestamp);
+                if self
+                    .client_table
+                    .get(&key.0)
+                    .is_none_or(|last| key.1 > last.timestamp)
+                {
+                    let last = LastReply {
+                        timestamp: key.1,
+                        seq: next,
+                        result: exec.results[l].clone(),
+                    };
+                    self.client_table.insert(key.0, last);
+                }
                 let reply = self.make_reply(next, request, exec.results[l].clone());
                 ctx.send(self.client_node(request.client), reply);
             }
@@ -588,13 +602,8 @@ impl PbftReplica {
         let matching = votes.values().filter(|d| **d == digest).count();
         if matching >= self.config.commit_quorum() && self.last_executed >= seq {
             self.last_stable = seq;
-            let keep_from = seq.get().saturating_sub(self.config.window / 2);
-            self.service.garbage_collect(SeqNum::new(keep_from));
             self.slots = self.slots.split_off(&(seq.get() + 1));
             self.checkpoint_votes = self.checkpoint_votes.split_off(&(seq.get() + 1));
-            let stable = self.last_stable;
-            self.executed_requests
-                .retain(|_, (s, _)| s.get() + 64 > stable.get());
             ctx.incr("checkpoints", 1);
         }
     }

@@ -306,6 +306,60 @@ mod tests {
         cluster.assert_agreement();
     }
 
+    /// A client whose replies were all lost retries long after its
+    /// request executed. Checkpoint GC must not make replicas drop that
+    /// retry: they answer it from the client table.
+    #[test]
+    fn lost_reply_is_answered_after_checkpoint_gc() {
+        let put = |i: u64| {
+            KvOp::Put {
+                key: i.to_le_bytes().to_vec(),
+                value: vec![7; 16],
+            }
+            .to_wire_bytes()
+        };
+        let mut config = PbftClusterConfig::small(1);
+        // Client A sends one request; client B sends 400 more.
+        config.workload = PbftWorkload::Explicit(vec![vec![put(0)], (1..=400).map(put).collect()]);
+        let mut cluster = PbftCluster::build(config);
+        cluster.sim.start();
+        let a_committed = |cluster: &PbftCluster| {
+            (0..4).any(|r| {
+                (1..=4).any(|s| {
+                    cluster
+                        .replica(r)
+                        .committed_block(SeqNum::new(s))
+                        .is_some_and(|reqs| reqs.iter().any(|req| req.client.get() == 0))
+                })
+            })
+        };
+        while !a_committed(&cluster) {
+            assert!(
+                cluster.sim.step(),
+                "the simulation ran dry before A committed"
+            );
+        }
+        // Cut A off as soon as the first replica commits its request:
+        // every reply, and every reply to its retries while cut off, is
+        // lost.
+        let cut = cluster.sim.now();
+        let heal = cut + SimDuration::from_secs(20);
+        let a = cluster.n;
+        cluster.sim.network_mut().set_node_deaf(a, cut, heal);
+        cluster.sim.run_until(heal);
+        assert_eq!(cluster.client(0).completed, 0, "A's replies were lost");
+        assert_eq!(cluster.client(1).completed, 400, "B committed everything");
+        for r in 0..4 {
+            assert!(
+                cluster.replica(r).last_stable().get() >= 256,
+                "replica {r}'s checkpoints passed A's request"
+            );
+        }
+        cluster.sim.run_for(SimDuration::from_secs(60));
+        assert_eq!(cluster.client(0).completed, 1, "A completes after the heal");
+        cluster.assert_agreement();
+    }
+
     #[test]
     fn quadratic_message_complexity_visible() {
         // PBFT's per-block message count grows ~n²; verify the pattern by

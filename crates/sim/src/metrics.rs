@@ -60,7 +60,7 @@ impl Metrics {
         *self.counters.entry(key).or_insert(0) += by;
     }
 
-    /// Records a sample under a key (stored ×[`SAMPLE_SCALE`] in a
+    /// Records a sample under a key (stored ×`SAMPLE_SCALE` in a
     /// bounded histogram; negative values clamp to zero).
     pub fn record(&mut self, key: &'static str, value: f64) {
         self.samples

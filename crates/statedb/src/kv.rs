@@ -1,18 +1,16 @@
 //! The authenticated key-value service used by the micro-benchmarks
 //! (§IX "Key-Value store benchmark").
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use sbft_types::{Digest, SeqNum};
 
-use sbft_crypto::{sha256, MerkleTree};
+use sbft_crypto::sha256;
 use sbft_wire::{DecodeError, Decoder, Encoder, Wire};
 
 use crate::exec::{execute_ops_parallel, OpExecutor, PlannedOp, WavePool, WriteCmd};
 use crate::rwset::ReadWriteSet;
-use crate::service::{
-    combine_state_digest, results_tree, BlockExecution, ExecutionProof, RawOp, Service,
-};
+use crate::service::{BlockExecution, RawOp, Service};
 use crate::trie::AuthKv;
 
 /// One key-value operation, the `o` of the generic service (§IV).
@@ -125,53 +123,19 @@ impl Default for KvCostModel {
     }
 }
 
-/// A single-replica authenticated `get` (§IV): the value, its trie proof,
-/// and the roots needed to recompute the signed state digest `d_s`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuthenticatedRead {
-    /// The sequence number of the state the read reflects.
-    pub seq: SeqNum,
-    /// The value, or `None` for a proven-absent key.
-    pub value: Option<Vec<u8>>,
-    /// Merkle crit-bit trie proof of (non-)membership.
-    pub proof: crate::trie::TrieProof,
-    /// State root component of `d_s`.
-    pub state_root: Digest,
-    /// Results root component of `d_s`.
-    pub results_root: Digest,
-}
-
-/// The client-side check for [`KvService::read_with_proof`]: verifies that
-/// `read` proves `key`'s value under the π-certified state digest `d`.
-pub fn verify_authenticated_read(d: &Digest, key: &[u8], read: &AuthenticatedRead) -> bool {
-    if combine_state_digest(read.seq, &read.state_root, &read.results_root) != *d {
-        return false;
-    }
-    read.proof
-        .verify(&read.state_root, key, read.value.as_deref())
-}
-
-/// Execution artifacts retained for one block (until garbage-collected).
-#[derive(Debug, Clone)]
-struct ExecutedBlock {
-    state_root: Digest,
-    results_tree: MerkleTree,
-    results: Vec<Vec<u8>>,
-}
-
 /// The authenticated key-value replicated service.
 ///
 /// # Examples
 ///
 /// ```
-/// use sbft_statedb::{KvOp, KvService, Service, verify_execution, ExecutionProof};
+/// use sbft_statedb::{KvOp, KvService, Service, verify_execution};
 /// use sbft_types::SeqNum;
 /// use sbft_wire::Wire;
 ///
 /// let mut service = KvService::new();
 /// let op = KvOp::Put { key: b"k".to_vec(), value: b"v".to_vec() }.to_wire_bytes();
 /// let exec = service.execute_block(SeqNum::new(1), &[op.clone()]);
-/// let proof = service.proof_of(SeqNum::new(1), 0).unwrap();
+/// let proof = exec.proof(0).unwrap();
 /// assert!(verify_execution(&exec.state_digest, &op, b"", SeqNum::new(1), 0, &proof));
 /// ```
 #[derive(Debug, Default)]
@@ -179,7 +143,6 @@ pub struct KvService {
     state: AuthKv,
     last_executed: SeqNum,
     last_digest: Digest,
-    executed: BTreeMap<u64, ExecutedBlock>,
     cost: KvCostModel,
     /// Memoized `SHA-256(key)` for trie addressing: benchmark and real
     /// workloads revisit a working set of keys, and each op used to
@@ -210,28 +173,6 @@ impl KvService {
         self.state.get(key)
     }
 
-    /// A read-only query answered by *one* replica with data
-    /// authentication (§IV: "proof for a get operation is a Merkle tree
-    /// proof that at the state with sequence number s the required
-    /// variable has the desired value"). The client checks the result
-    /// against the π-certified state digest of the latest executed block
-    /// with [`verify_authenticated_read`].
-    ///
-    /// Returns `None` before any block has executed or when that block's
-    /// artifacts were garbage-collected.
-    pub fn read_with_proof(&self, key: &[u8]) -> Option<AuthenticatedRead> {
-        let seq = self.last_executed;
-        let block = self.executed.get(&seq.get())?;
-        let proof = self.state.prove(key)?;
-        Some(AuthenticatedRead {
-            seq,
-            value: self.state.get(key).map(<[u8]>::to_vec),
-            proof,
-            state_root: self.state.root(),
-            results_root: block.results_tree.root(),
-        })
-    }
-
     /// Direct access to the underlying authenticated store.
     pub fn state(&self) -> &AuthKv {
         &self.state
@@ -242,7 +183,21 @@ impl KvService {
         self.state = state;
         self.last_executed = seq;
         self.last_digest = digest;
-        self.executed.clear();
+    }
+
+    /// Ends a block on either execution path: records the new frontier
+    /// and returns the block's execution.
+    fn finish(
+        &mut self,
+        seq: SeqNum,
+        ops: &[RawOp],
+        results: Vec<Vec<u8>>,
+        cpu_cost_ns: u64,
+    ) -> BlockExecution {
+        let execution = BlockExecution::finish(seq, self.state.root(), ops, results, cpu_cost_ns);
+        self.last_executed = seq;
+        self.last_digest = execution.state_digest;
+        execution
     }
 
     fn apply(&mut self, op_bytes: &[u8]) -> (Vec<u8>, u64) {
@@ -304,7 +259,7 @@ impl KvService {
 }
 
 /// The stateless planning half of [`KvService`] for the parallel
-/// execution pipeline (see [`crate::exec`]): key-value footprints are
+/// execution pipeline (see [`execute_ops_parallel`]): key-value footprints are
 /// statically derivable from the op encoding — the conflict token of a
 /// key is the key itself.
 #[derive(Debug, Clone, Default)]
@@ -422,28 +377,7 @@ impl Service for KvService {
             results.push(result);
             cpu += cost;
         }
-        let tree = results_tree(ops, &results);
-        let results_root = tree.root();
-        let state_root = self.state.root();
-        let digest = combine_state_digest(seq, &state_root, &results_root);
-        self.executed.insert(
-            seq.get(),
-            ExecutedBlock {
-                state_root,
-                results_tree: tree,
-                results: results.clone(),
-            },
-        );
-        self.last_executed = seq;
-        self.last_digest = digest;
-        BlockExecution {
-            seq,
-            state_digest: digest,
-            state_root,
-            results_root,
-            results,
-            cpu_cost_ns: cpu,
-        }
+        self.finish(seq, ops, results, cpu)
     }
 
     fn execute_block_parallel(
@@ -463,30 +397,7 @@ impl Service for KvService {
         let planner: std::sync::Arc<dyn OpExecutor> =
             std::sync::Arc::new(KvPlanner::with_cost(self.cost.clone()));
         let block = execute_ops_parallel(&mut self.state, ops, &planner, pool);
-        let results = block.results;
-        let cpu = self.cost.commit_ns + block.cost_ns;
-        let tree = results_tree(ops, &results);
-        let results_root = tree.root();
-        let state_root = self.state.root();
-        let digest = combine_state_digest(seq, &state_root, &results_root);
-        self.executed.insert(
-            seq.get(),
-            ExecutedBlock {
-                state_root,
-                results_tree: tree,
-                results: results.clone(),
-            },
-        );
-        self.last_executed = seq;
-        self.last_digest = digest;
-        BlockExecution {
-            seq,
-            state_digest: digest,
-            state_root,
-            results_root,
-            results,
-            cpu_cost_ns: cpu,
-        }
+        self.finish(seq, ops, block.results, self.cost.commit_ns + block.cost_ns)
     }
 
     fn state_digest(&self) -> Digest {
@@ -495,25 +406,6 @@ impl Service for KvService {
 
     fn last_executed(&self) -> SeqNum {
         self.last_executed
-    }
-
-    fn proof_of(&self, seq: SeqNum, l: usize) -> Option<ExecutionProof> {
-        let block = self.executed.get(&seq.get())?;
-        Some(ExecutionProof {
-            state_root: block.state_root,
-            result_path: block.results_tree.proof(l)?,
-        })
-    }
-
-    fn result_of(&self, seq: SeqNum, l: usize) -> Option<&[u8]> {
-        self.executed
-            .get(&seq.get())
-            .and_then(|b| b.results.get(l))
-            .map(Vec::as_slice)
-    }
-
-    fn garbage_collect(&mut self, stable: SeqNum) {
-        self.executed = self.executed.split_off(&(stable.get() + 1));
     }
 
     fn snapshot(&self) -> AuthKv {
@@ -606,8 +498,8 @@ mod tests {
         let ops = vec![get("k"), put("k", "w")];
         let exec = svc.execute_block(SeqNum::new(2), &ops);
         for (l, op) in ops.iter().enumerate() {
-            let proof = svc.proof_of(SeqNum::new(2), l).unwrap();
-            let val = svc.result_of(SeqNum::new(2), l).unwrap();
+            let proof = exec.proof(l).unwrap();
+            let val = &exec.results[l];
             assert!(verify_execution(
                 &exec.state_digest,
                 op,
@@ -617,8 +509,8 @@ mod tests {
                 &proof
             ));
         }
-        // Reading the wrong block fails.
-        assert!(svc.proof_of(SeqNum::new(9), 0).is_none());
+        // There is no proof for an operation the block does not have.
+        assert!(exec.proof(ops.len()).is_none());
     }
 
     #[test]
@@ -630,19 +522,6 @@ mod tests {
         let eb = b.execute_block(SeqNum::new(1), &[bad]);
         assert_eq!(ea.state_digest, eb.state_digest);
         assert_eq!(ea.results[0], Vec::<u8>::new());
-    }
-
-    #[test]
-    fn garbage_collection_drops_old_proofs() {
-        let mut svc = KvService::new();
-        for s in 1..=5u64 {
-            svc.execute_block(SeqNum::new(s), &[put("k", &s.to_string())]);
-        }
-        svc.garbage_collect(SeqNum::new(3));
-        assert!(svc.proof_of(SeqNum::new(3), 0).is_none());
-        assert!(svc.proof_of(SeqNum::new(4), 0).is_some());
-        // State is unaffected.
-        assert_eq!(svc.query(b"k"), Some(&b"5"[..]));
     }
 
     #[test]
@@ -752,78 +631,5 @@ mod parallel_tests {
         let ea = a.execute_block(SeqNum::new(1), &ops);
         let eb = b.execute_block_parallel(SeqNum::new(1), &ops, &pool);
         assert_eq!(ea, eb);
-    }
-}
-
-#[cfg(test)]
-mod query_tests {
-    use super::*;
-    use sbft_wire::Wire;
-
-    fn put(key: &str, value: &str) -> Vec<u8> {
-        KvOp::Put {
-            key: key.as_bytes().to_vec(),
-            value: value.as_bytes().to_vec(),
-        }
-        .to_wire_bytes()
-    }
-
-    #[test]
-    fn authenticated_read_verifies_membership_and_absence() {
-        let mut svc = KvService::new();
-        svc.execute_block(SeqNum::new(1), &[put("alice", "100"), put("bob", "50")]);
-        let d = svc.state_digest();
-
-        let read = svc.read_with_proof(b"alice").unwrap();
-        assert_eq!(read.value.as_deref(), Some(&b"100"[..]));
-        assert!(verify_authenticated_read(&d, b"alice", &read));
-
-        // Absence is provable too.
-        let read = svc.read_with_proof(b"mallory").unwrap();
-        assert_eq!(read.value, None);
-        assert!(verify_authenticated_read(&d, b"mallory", &read));
-    }
-
-    #[test]
-    fn authenticated_read_rejects_tampering() {
-        let mut svc = KvService::new();
-        svc.execute_block(SeqNum::new(1), &[put("alice", "100")]);
-        let d = svc.state_digest();
-        let read = svc.read_with_proof(b"alice").unwrap();
-
-        // Lying about the value fails.
-        let mut lying = read.clone();
-        lying.value = Some(b"1000000".to_vec());
-        assert!(!verify_authenticated_read(&d, b"alice", &lying));
-
-        // A stale digest from another block fails.
-        let mut svc2 = KvService::new();
-        svc2.execute_block(SeqNum::new(1), &[put("alice", "999")]);
-        assert!(!verify_authenticated_read(
-            &svc2.state_digest(),
-            b"alice",
-            &read
-        ));
-
-        // Proof for the wrong key fails.
-        assert!(!verify_authenticated_read(&d, b"bob", &read));
-    }
-
-    #[test]
-    fn read_reflects_latest_executed_block() {
-        let mut svc = KvService::new();
-        svc.execute_block(SeqNum::new(1), &[put("k", "v1")]);
-        svc.execute_block(SeqNum::new(2), &[put("k", "v2")]);
-        let d = svc.state_digest();
-        let read = svc.read_with_proof(b"k").unwrap();
-        assert_eq!(read.seq, SeqNum::new(2));
-        assert_eq!(read.value.as_deref(), Some(&b"v2"[..]));
-        assert!(verify_authenticated_read(&d, b"k", &read));
-    }
-
-    #[test]
-    fn no_read_before_first_block() {
-        let svc = KvService::new();
-        assert!(svc.read_with_proof(b"x").is_none());
     }
 }

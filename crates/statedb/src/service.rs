@@ -11,6 +11,12 @@
 //! `d_s = H(s || state_root || results_root)`. A client holding the π
 //! threshold signature on `d_s` can then verify its operation's output with
 //! one Merkle path — the single-message acknowledgement of §V-D.
+//!
+//! A [`Service`] only computes: it executes a block and hands back a
+//! [`BlockExecution`] carrying the block's results and their Merkle tree.
+//! It keeps no per-block history. The replica stores each block's
+//! execution until the block's checkpoint is stable and serves
+//! `proof(o, l, s, D, val)` from it ([`BlockExecution::proof`]).
 
 use sbft_types::{Digest, SeqNum};
 
@@ -28,12 +34,50 @@ pub struct BlockExecution {
     pub state_digest: Digest,
     /// The post-execution state root (component of `d_s`).
     pub state_root: Digest,
-    /// The Merkle root over this block's results (component of `d_s`).
-    pub results_root: Digest,
+    /// The Merkle tree over this block's results: its root is the other
+    /// component of `d_s`, its paths are the execute-ack proofs.
+    pub results_tree: MerkleTree,
     /// Per-operation outputs, in block order.
     pub results: Vec<Vec<u8>>,
     /// Simulated CPU cost of executing the block, in nanoseconds.
     pub cpu_cost_ns: u64,
+}
+
+impl BlockExecution {
+    /// Finishes a block whose operations produced `results` and left the
+    /// state at `state_root`: builds the results tree and the signed
+    /// digest `d_s`. Every service's serial and wave paths end here.
+    pub fn finish(
+        seq: SeqNum,
+        state_root: Digest,
+        ops: &[RawOp],
+        results: Vec<Vec<u8>>,
+        cpu_cost_ns: u64,
+    ) -> BlockExecution {
+        let results_tree = results_tree(ops, &results);
+        BlockExecution {
+            seq,
+            state_digest: combine_state_digest(seq, &state_root, &results_tree.root()),
+            state_root,
+            results_tree,
+            results,
+            cpu_cost_ns,
+        }
+    }
+
+    /// The Merkle root over this block's results (component of `d_s`).
+    pub fn results_root(&self) -> Digest {
+        self.results_tree.root()
+    }
+
+    /// The `proof(o, l, s, D, val)` of §IV for operation `l`: `None` when
+    /// the block has no operation `l`.
+    pub fn proof(&self, l: usize) -> Option<ExecutionProof> {
+        Some(ExecutionProof {
+            state_root: self.state_root,
+            result_path: self.results_tree.proof(l)?,
+        })
+    }
 }
 
 /// Proof that operation `l` of block `s` produced a given output
@@ -66,7 +110,7 @@ pub fn combine_state_digest(seq: SeqNum, state_root: &Digest, results_root: &Dig
 }
 
 /// Builds the Merkle tree over a block's results.
-pub fn results_tree(ops: &[RawOp], results: &[Vec<u8>]) -> MerkleTree {
+fn results_tree(ops: &[RawOp], results: &[Vec<u8>]) -> MerkleTree {
     assert_eq!(ops.len(), results.len(), "one result per operation");
     MerkleTree::from_leaves(
         ops.iter()
@@ -113,69 +157,17 @@ pub fn op_digest(op: &[u8]) -> Digest {
     sha256_concat(&[b"sbft-op|", op])
 }
 
-/// Retained per-block execution artifacts backing [`Service::proof_of`] /
-/// [`Service::result_of`], shared by the service implementations
-/// (key-value store here, EVM in `sbft-evm`).
-#[derive(Debug, Default)]
-pub struct BlockArtifacts {
-    blocks: std::collections::BTreeMap<u64, (Digest, MerkleTree, Vec<Vec<u8>>)>,
-}
-
-impl BlockArtifacts {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        BlockArtifacts::default()
-    }
-
-    /// Records the artifacts of one executed block and returns the signed
-    /// state digest `d_s` together with the block's results root.
-    pub fn record(
-        &mut self,
-        seq: SeqNum,
-        state_root: Digest,
-        ops: &[RawOp],
-        results: Vec<Vec<u8>>,
-    ) -> (Digest, Digest) {
-        let tree = results_tree(ops, &results);
-        let results_root = tree.root();
-        let digest = combine_state_digest(seq, &state_root, &results_root);
-        self.blocks.insert(seq.get(), (state_root, tree, results));
-        (digest, results_root)
-    }
-
-    /// Builds the execution proof for operation `l` of block `seq`.
-    pub fn proof_of(&self, seq: SeqNum, l: usize) -> Option<ExecutionProof> {
-        let (state_root, tree, _) = self.blocks.get(&seq.get())?;
-        Some(ExecutionProof {
-            state_root: *state_root,
-            result_path: tree.proof(l)?,
-        })
-    }
-
-    /// Returns the stored output of operation `l` of block `seq`.
-    pub fn result_of(&self, seq: SeqNum, l: usize) -> Option<&[u8]> {
-        self.blocks
-            .get(&seq.get())
-            .and_then(|(_, _, results)| results.get(l))
-            .map(Vec::as_slice)
-    }
-
-    /// Drops artifacts for blocks `<= stable`.
-    pub fn garbage_collect(&mut self, stable: SeqNum) {
-        self.blocks = self.blocks.split_off(&(stable.get() + 1));
-    }
-}
-
-/// A deterministic replicated service (§IV "Generic service") together
-/// with the data-authentication interface the execution collectors need.
-pub trait Service {
+/// A deterministic replicated service (§IV "Generic service"): a pure
+/// state machine that executes blocks in sequence order. `Send`, so a
+/// replica can move it onto its executor thread.
+pub trait Service: Send {
     /// Executes a block of operations, advancing the state from `D_{s-1}`
     /// to `D_s`, and returns outputs + the signed state digest.
     fn execute_block(&mut self, seq: SeqNum, ops: &[RawOp]) -> BlockExecution;
 
     /// Like [`Service::execute_block`], but services that support
     /// intra-block parallelism may run non-conflicting ops concurrently on
-    /// `pool` (see [`crate::exec`]). The outputs must be byte-identical to
+    /// `pool` (see [`crate::execute_ops_parallel`]). The outputs must be byte-identical to
     /// the serial path regardless of the pool's thread count; the default
     /// simply ignores the pool.
     fn execute_block_parallel(
@@ -193,18 +185,6 @@ pub trait Service {
 
     /// Sequence number of the last executed block.
     fn last_executed(&self) -> SeqNum;
-
-    /// Builds the execution proof for operation `l` of block `seq`.
-    /// Returns `None` if that block's artifacts have been garbage-collected
-    /// or never executed.
-    fn proof_of(&self, seq: SeqNum, l: usize) -> Option<ExecutionProof>;
-
-    /// Returns the stored output of operation `l` of block `seq`.
-    fn result_of(&self, seq: SeqNum, l: usize) -> Option<&[u8]>;
-
-    /// Drops execution artifacts for blocks `<= stable` (garbage
-    /// collection after a stable checkpoint, §V-F).
-    fn garbage_collect(&mut self, stable: SeqNum);
 
     /// Snapshots the current authenticated state (O(1) structural share),
     /// used for checkpoints and state transfer.
@@ -225,15 +205,17 @@ mod tests {
     fn verify_round_trip() {
         let ops: Vec<RawOp> = vec![b"op0".to_vec(), b"op1".to_vec(), b"op2".to_vec()];
         let results = vec![b"r0".to_vec(), b"r1".to_vec(), b"r2".to_vec()];
-        let tree = results_tree(&ops, &results);
         let state_root = Digest::new([7u8; 32]);
         let seq = SeqNum::new(5);
-        let d = combine_state_digest(seq, &state_root, &tree.root());
+        let exec = BlockExecution::finish(seq, state_root, &ops, results.clone(), 0);
+        let d = exec.state_digest;
+        assert_eq!(
+            d,
+            combine_state_digest(seq, &state_root, &exec.results_root())
+        );
+        assert!(exec.proof(3).is_none(), "no proof past the last op");
         for l in 0..3 {
-            let proof = ExecutionProof {
-                state_root,
-                result_path: tree.proof(l).unwrap(),
-            };
+            let proof = exec.proof(l).unwrap();
             assert!(verify_execution(&d, &ops[l], &results[l], seq, l, &proof));
             // Wrong value fails.
             assert!(!verify_execution(&d, &ops[l], b"bogus", seq, l, &proof));

@@ -5,20 +5,15 @@
 //! (the trie root is history-independent, so rebuilding by insertion
 //! reproduces the exact checkpoint root).
 //!
-//! The format is versioned so old files stay loadable:
-//!
-//! - **v1** (legacy): `magic | version | seq | state_digest | entries`.
-//!   No roots, no certificate, no checksum.
-//! - **v2** (current): adds the `state_root`/`results_root` the digest
-//!   commits to, an optional opaque checkpoint-certificate blob, and a
-//!   trailing CRC-32 over the whole file.
-//!
-//! [`Snapshot::decode`] dispatches on the version and routes v1 files
-//! through [`migrate`], which recomputes the state root the v1 writer
-//! never stored by rebuilding the trie. Writers always emit v2 and write
-//! via temp-file + rename, so a crash never leaves a half-written
-//! snapshot in place (a corrupt file is treated as absent — the startup
-//! recovery handshake re-fetches the checkpoint from peers).
+//! The layout is `magic | version | seq | state_digest | state_root |
+//! results_root | cert | entries | crc32`: the roots the digest commits
+//! to, an optional opaque checkpoint-certificate blob, and a trailing
+//! CRC-32 over the whole file. The version is 2 ([`SNAPSHOT_V2`]); no
+//! deployment ever wrote the v1 layout, so [`Snapshot::decode`] refuses
+//! it like any other unknown version. Writers go through temp-file +
+//! rename, so a crash never leaves a half-written snapshot in place (a
+//! corrupt or unknown file is treated as absent — the startup recovery
+//! handshake re-fetches the checkpoint from peers).
 
 use std::io::{self, Write};
 use std::path::Path;
@@ -31,9 +26,7 @@ use crate::wal::crc32;
 
 /// File magic; anything else is not a snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SBFTSNAP";
-/// The legacy layout.
-pub const SNAPSHOT_V1: u16 = 1;
-/// The current layout.
+/// The snapshot layout.
 pub const SNAPSHOT_V2: u16 = 2;
 
 /// Why a snapshot failed to load.
@@ -57,8 +50,7 @@ impl std::fmt::Display for SnapshotError {
     }
 }
 
-/// An in-memory stable-checkpoint snapshot (always the v2 shape; v1
-/// files are migrated on load).
+/// An in-memory stable-checkpoint snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// The checkpoint sequence number.
@@ -67,44 +59,13 @@ pub struct Snapshot {
     pub state_digest: Digest,
     /// The trie root the digest commits to.
     pub state_root: Digest,
-    /// The results root the digest commits to (`Digest::ZERO` for
-    /// migrated v1 files, which predate storing it).
+    /// The results root the digest commits to.
     pub results_root: Digest,
     /// Opaque checkpoint-certificate blob (the replication layer's
     /// encoding of the π signature), when one was stable.
     pub cert: Option<Vec<u8>>,
     /// The full entry set of the checkpoint state.
     pub entries: Vec<(Vec<u8>, Vec<u8>)>,
-}
-
-/// The legacy v1 layout as parsed from disk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotV1 {
-    /// The checkpoint sequence number.
-    pub seq: SeqNum,
-    /// The signed state digest at the checkpoint.
-    pub state_digest: Digest,
-    /// The full entry set of the checkpoint state.
-    pub entries: Vec<(Vec<u8>, Vec<u8>)>,
-}
-
-/// Migrates a legacy v1 snapshot to the current layout: the state root
-/// is recomputed by rebuilding the trie (history-independent, so it is
-/// byte-identical to what a v2-native writer would have stored); the
-/// results root and certificate, which v1 never carried, stay absent.
-pub fn migrate(v1: SnapshotV1) -> Snapshot {
-    let mut state = AuthKv::new();
-    for (k, v) in &v1.entries {
-        state.insert(k.clone(), v.clone());
-    }
-    Snapshot {
-        seq: v1.seq,
-        state_digest: v1.state_digest,
-        state_root: state.root(),
-        results_root: Digest::ZERO,
-        cert: None,
-        entries: v1.entries,
-    }
 }
 
 fn encode_entries(enc: &mut Encoder, entries: &[(Vec<u8>, Vec<u8>)]) {
@@ -171,7 +132,7 @@ impl Snapshot {
         state
     }
 
-    /// Encodes the current (v2) layout, CRC-sealed.
+    /// Encodes the snapshot, CRC-sealed.
     pub fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_raw(SNAPSHOT_MAGIC);
@@ -194,38 +155,13 @@ impl Snapshot {
         bytes
     }
 
-    /// Encodes the legacy v1 layout (used to produce migration fixtures
-    /// and by the format tests; real writers always emit v2).
-    pub fn encode_v1(v1: &SnapshotV1) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_raw(SNAPSHOT_MAGIC);
-        enc.put_u16(SNAPSHOT_V1);
-        v1.seq.encode(&mut enc);
-        v1.state_digest.encode(&mut enc);
-        encode_entries(&mut enc, &v1.entries);
-        enc.into_bytes()
-    }
-
-    /// Decodes any known snapshot version, migrating v1 → v2.
+    /// Decodes a snapshot, checking its magic, version and checksum.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         if bytes.len() < SNAPSHOT_MAGIC.len() + 2 || &bytes[..8] != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
         let version = u16::from_le_bytes(bytes[8..10].try_into().unwrap());
         match version {
-            SNAPSHOT_V1 => {
-                let mut dec = Decoder::new(&bytes[10..]);
-                let seq = SeqNum::decode(&mut dec)
-                    .map_err(|e| SnapshotError::Corrupt(format!("seq: {e:?}")))?;
-                let state_digest = Digest::decode(&mut dec)
-                    .map_err(|e| SnapshotError::Corrupt(format!("digest: {e:?}")))?;
-                let entries = decode_entries(&mut dec)?;
-                Ok(migrate(SnapshotV1 {
-                    seq,
-                    state_digest,
-                    entries,
-                }))
-            }
             SNAPSHOT_V2 => {
                 if bytes.len() < 14 {
                     return Err(SnapshotError::Corrupt("too short for v2".to_string()));
@@ -339,36 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_fixture_migrates_to_identical_state_root() {
-        // The satellite contract: a v1 fixture loaded through migrate()
-        // yields a byte-identical state root to a v2-native write of the
-        // same checkpoint.
-        let state = sample_state(64, 0xF1C0);
-        let seq = SeqNum::new(32);
-        let state_root = state.root();
-        let digest = combine_state_digest(seq, &state_root, &Digest::ZERO);
-        let v1_bytes = Snapshot::encode_v1(&SnapshotV1 {
-            seq,
-            state_digest: digest,
-            entries: state
-                .iter()
-                .map(|(k, v)| (k.to_vec(), v.to_vec()))
-                .collect(),
-        });
-        let migrated = Snapshot::decode(&v1_bytes).unwrap();
-        let native = Snapshot::of_checkpoint(seq, digest, state_root, Digest::ZERO, None, &state);
-        assert_eq!(
-            migrated.state_root.as_bytes(),
-            native.state_root.as_bytes(),
-            "migrated root must be byte-identical to the v2-native write"
-        );
-        assert_eq!(migrated.rebuild_state().root(), state.root());
-        assert_eq!(migrated.seq, seq);
-        assert_eq!(migrated.results_root, Digest::ZERO);
-        assert!(migrated.cert.is_none());
-    }
-
-    #[test]
     fn corrupt_and_unknown_inputs_are_rejected_not_panicked() {
         let snap = sample_snapshot();
         let good = snap.encode();
@@ -392,6 +298,10 @@ mod tests {
             Snapshot::decode(&future),
             Err(SnapshotError::UnknownVersion(99))
         );
+        // So is the v1 layout no deployment ever wrote.
+        let mut v1 = good.clone();
+        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(Snapshot::decode(&v1), Err(SnapshotError::UnknownVersion(1)));
     }
 
     #[test]
@@ -405,6 +315,11 @@ mod tests {
         assert_eq!(loaded, snap);
         // Corrupt file on disk reads as absent.
         std::fs::write(&path, b"SBFTSNAPgarbage").unwrap();
+        assert!(Snapshot::read_from(&path).unwrap().is_none());
+        // So does a file in an unknown layout.
+        let mut v1 = snap.encode();
+        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&path, v1).unwrap();
         assert!(Snapshot::read_from(&path).unwrap().is_none());
         // Missing file reads as absent.
         assert!(Snapshot::read_from(&dir.join("nope.snap"))

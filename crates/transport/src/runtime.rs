@@ -338,7 +338,7 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
     /// `Simulation::run_for`. Returns events processed during the call.
     ///
     /// Inbound frames are drained in batches: one blocking wait per
-    /// *batch* of ready frames (up to [`Self::DRAIN_BATCH`]), not per
+    /// *batch* of ready frames (up to `DRAIN_BATCH`), not per
     /// frame, so under load the channel-wakeup cost amortizes across
     /// everything that has already arrived.
     pub fn poll(&mut self, budget: Duration) -> u64 {

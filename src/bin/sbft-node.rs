@@ -42,7 +42,7 @@ struct Args {
     /// `<dir>/replica-<id>`, recovered at boot.
     data_dir: Option<String>,
     /// Overrides the config file's `fsync` directive when set
-    /// (always | never | batch[:N]; default batch:8).
+    /// (`always` | `never` | `batch[:N]`; default `batch:8`).
     fsync: Option<String>,
 }
 

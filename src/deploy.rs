@@ -17,33 +17,28 @@ use std::net::TcpListener;
 use std::sync::Arc;
 
 use sbft_core::{
-    make_client, make_replica, ExecPool, KeyMaterial, ProtocolConfig, ReplicaDurability,
-    ReplicaNode, SbftMsg, ShareVerifyMap, VariantFlags, Workload,
+    make_client, make_replica, KeyMaterial, ProtocolConfig, ReplicaDurability, ReplicaNode,
+    SbftMsg, ShareVerifyMap, VariantFlags, Workload,
 };
 use sbft_crypto::CryptoCostModel;
 use sbft_gateway::{AdmissionConfig, GatewayCore, OpenLoopConfig, OpenLoopDriver, SessionMux};
 use sbft_sim::SimDuration;
-use sbft_statedb::{FsyncPolicy, KvService, Service};
+use sbft_statedb::{FsyncPolicy, KvService};
 use sbft_transport::{ClusterSpec, NodeRuntime, TcpTransport, TransportProfile, VariantName};
 use sbft_wire::Wire;
 
 /// Wraps a replica in its runtime: `verify_threads` workers screen
 /// inbound frames through the replica's verifier (at `<= 1` the node
-/// thread does), and `exec_threads > 1` moves block execution to an
-/// executor pool. Shared by [`replica_runtime`], the chaos harness, and
-/// the benches so every backend builds pipelines the same way.
-///
-/// `exec_service` is the executor-side copy of the state machine: the
-/// pool thread owns it outright (the node keeps only digests and reply
-/// artifacts), so it must start from the same genesis state the replica
-/// was built with. It is only consumed when `exec_threads > 1`.
+/// thread does), and `exec_threads > 1` moves the replica's service to
+/// its own execution thread. Shared by [`replica_runtime`], the chaos
+/// harness, and the benches so every backend builds pipelines the same
+/// way.
 pub fn replica_runtime_with_pipeline(
     mut replica: ReplicaNode,
     transport: TcpTransport,
     seed: u64,
     verify_threads: usize,
     exec_threads: usize,
-    exec_service: impl FnOnce() -> Box<dyn Service + Send>,
 ) -> NodeRuntime<SbftMsg> {
     // Phase tracing rides the transport's shared registry: the replica
     // stamps request lifecycles, the introspection endpoint reads them.
@@ -57,14 +52,12 @@ pub fn replica_runtime_with_pipeline(
         // itself).
         let injector = transport.self_injector();
         let payload = SbftMsg::ExecuteReady.to_wire_bytes();
-        let pool = ExecPool::new(
-            exec_service(),
+        replica.offload_execution(
             exec_threads,
             Box::new(move || {
                 injector.inject(payload.clone());
             }),
         );
-        replica.offload_execution(pool);
     }
     if verify_threads > 1 {
         // Slot-digest map shared between the replica (publishes digests
@@ -197,7 +190,6 @@ pub fn replica_runtime(
         spec.seed ^ (r as u64).wrapping_mul(0x9e3779b97f4a7c15),
         spec.resolved_verify_threads(),
         spec.resolved_exec_threads(),
-        || Box::new(KvService::new()),
     ))
 }
 
