@@ -331,7 +331,7 @@ mod tests {
 
     fn sample_snapshot(seq: u64) -> Snapshot {
         let mut state = AuthKv::new();
-        state.insert(b"k".to_vec(), b"v".to_vec());
+        state.insert(b"k", b"v".to_vec());
         let root = state.root();
         Snapshot::of_checkpoint(
             SeqNum::new(seq),

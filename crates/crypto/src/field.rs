@@ -154,13 +154,14 @@ impl Scalar {
 
     /// Creates a scalar from a [`U256`], reducing modulo `r`.
     pub fn from_u256_reduce(v: &U256) -> Self {
-        let canonical = if *v >= modulus() {
-            v.div_rem(&modulus()).1
-        } else {
-            *v
-        };
+        // 2^256 < 6r, so at most five subtractions of r reach the
+        // canonical value: no division needed.
+        let mut canonical = v.limbs();
+        while geq_modulus(&canonical) {
+            canonical = reduce_once(canonical, 0);
+        }
         Scalar {
-            mont: mont_mul(&canonical.limbs(), &R2),
+            mont: mont_mul(&canonical, &R2),
         }
     }
 
@@ -404,11 +405,27 @@ mod tests {
 
     #[test]
     fn reduction_of_large_values() {
-        // MAX reduces to MAX mod r.
-        let s = Scalar::from_u256_reduce(&U256::MAX);
-        assert_eq!(s.to_u256(), U256::MAX.div_rem(&modulus()).1);
+        // Subtracting r equals dividing by it: at the edges (0, r - 1,
+        // r, 5r, 2^256 - 1) and on seeded values.
+        let r = modulus();
+        let mut rng = SplitMix64::new(0xf1e1d);
+        let edges = [
+            U256::ZERO,
+            r.wrapping_sub(&U256::from(1u64)),
+            r,
+            r.wrapping_mul(&U256::from(5u64)),
+            U256::MAX,
+        ];
+        let seeded = (0..256).map(|_| U256::from_limbs(limbs(&mut rng)));
+        for v in edges.into_iter().chain(seeded) {
+            assert_eq!(
+                Scalar::from_u256_reduce(&v).to_u256(),
+                v.div_rem(&r).1,
+                "{v}"
+            );
+        }
         // The modulus itself reduces to zero.
-        assert!(Scalar::from_u256_reduce(&modulus()).is_zero());
+        assert!(Scalar::from_u256_reduce(&r).is_zero());
     }
 
     #[test]

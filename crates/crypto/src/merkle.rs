@@ -9,7 +9,7 @@
 
 use sbft_types::Digest;
 
-use crate::sha256::{sha256_concat, Sha256};
+use crate::sha256::sha256_concat;
 
 const LEAF_PREFIX: &[u8] = &[0x00];
 const NODE_PREFIX: &[u8] = &[0x01];
@@ -21,11 +21,7 @@ pub fn leaf_hash(data: &[u8]) -> Digest {
 
 /// Hashes two child digests into their parent.
 pub fn node_hash(left: &Digest, right: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update(NODE_PREFIX);
-    h.update(left.as_bytes());
-    h.update(right.as_bytes());
-    h.finalize()
+    sha256_concat(&[NODE_PREFIX, left.as_bytes(), right.as_bytes()])
 }
 
 /// One step of a Merkle inclusion proof: the sibling digest and whether the

@@ -112,12 +112,41 @@ impl Sha256 {
         }
         self.buffer[56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
         compress(&mut self.state, &self.buffer);
-        let mut out = [0u8; 32];
-        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
-            bytes.copy_from_slice(&word.to_be_bytes());
-        }
-        Digest::new(out)
+        digest_of(&self.state)
     }
+}
+
+/// The digest a final chaining state spells, big-endian word by word.
+fn digest_of(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Digest::new(out)
+}
+
+/// The longest input [`hash_short`] takes: it and its padding (the 0x80
+/// byte and the 8-byte bit length) fill at most two blocks.
+const SHORT_MAX: usize = 2 * 64 - 9;
+
+/// Hashes `parts`, `len` bytes together and at most [`SHORT_MAX`], from
+/// one padded stack buffer in a single `compress` call of one or two
+/// blocks: no hasher state, no buffering, no second call.
+#[inline]
+fn hash_short(parts: &[&[u8]], len: usize, compress: Compress) -> Digest {
+    debug_assert!(len <= SHORT_MAX);
+    let mut padded = [0u8; 128];
+    let mut at = 0;
+    for part in parts {
+        padded[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    padded[len] = 0x80;
+    let blocks = if len < 56 { 64 } else { 128 };
+    padded[blocks - 8..blocks].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+    let mut state = H0;
+    compress(&mut state, &padded[..blocks]);
+    digest_of(&state)
 }
 
 /// Compresses whole 64-byte blocks, on the SHA extensions when the CPU
@@ -287,7 +316,9 @@ mod x86 {
     }
 }
 
-/// Hashes a byte slice with SHA-256 in one call.
+/// Hashes a byte slice with SHA-256 in one call. Inputs of at most 119
+/// bytes (keys, trie nodes, Merkle nodes) take one `compress` call on a
+/// padded stack buffer.
 ///
 /// # Examples
 ///
@@ -298,11 +329,14 @@ mod x86 {
 ///     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 /// );
 /// ```
+#[inline]
 pub fn sha256(data: &[u8]) -> Digest {
     hash_parts(&[data], compress)
 }
 
-/// Hashes the concatenation of several byte slices.
+/// Hashes the concatenation of several byte slices, in one `compress`
+/// call when they total at most 119 bytes.
+#[inline]
 pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
     hash_parts(parts, compress)
 }
@@ -314,7 +348,20 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
     hmac_with(key, message, compress)
 }
 
+/// Hashes the concatenation of `parts`: inputs of at most [`SHORT_MAX`]
+/// bytes in one shot, longer ones through the streaming hasher. Inlined,
+/// so a caller's fixed layout (a trie branch, a Merkle node) copies into
+/// the padded block with fixed-size moves.
+#[inline]
 fn hash_parts(parts: &[&[u8]], compress: Compress) -> Digest {
+    let len = parts.iter().map(|part| part.len()).sum();
+    if len <= SHORT_MAX {
+        return hash_short(parts, len, compress);
+    }
+    hash_streaming(parts, compress)
+}
+
+fn hash_streaming(parts: &[&[u8]], compress: Compress) -> Digest {
     let mut h = Sha256::new();
     for p in parts {
         h.update_with(p, compress);
@@ -429,8 +476,9 @@ mod tests {
     }
 
     /// Every length from 0 to 300 bytes — across the 55/56/63/64/119/120
-    /// padding edges — hashed in one call and in 1/3/63/64/65-byte
-    /// chunks, through both paths, gives the portable one-shot digest.
+    /// padding edges, so through the one-shot path up to 119 bytes —
+    /// hashed in one call, as two parts and in 1/3/63/64/65-byte chunks,
+    /// through both paths, gives the portable streaming digest.
     #[test]
     fn compression_paths_agree_on_every_length() {
         let data: Vec<u8> = (0..300u32)
@@ -438,9 +486,17 @@ mod tests {
             .collect();
         for len in 0..=data.len() {
             let input = &data[..len];
-            let reference = hash_parts(&[input], compress_portable);
+            let mut streaming = Sha256::new();
+            streaming.update_with(input, compress_portable);
+            let reference = streaming.finalize_with(compress_portable);
             for (path, compress) in PATHS {
                 assert_eq!(hash_parts(&[input], compress), reference, "{path}, {len} B");
+                let (head, tail) = input.split_at(len / 3);
+                assert_eq!(
+                    hash_parts(&[head, tail], compress),
+                    reference,
+                    "{path}, {len} B in two parts"
+                );
                 for chunk in [1usize, 3, 63, 64, 65] {
                     let mut h = Sha256::new();
                     for part in input.chunks(chunk) {

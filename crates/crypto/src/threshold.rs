@@ -21,9 +21,9 @@ use std::fmt;
 
 use sbft_types::Digest;
 
-use crate::field::Scalar;
+use crate::field::{batch_invert, Scalar};
 use crate::group::{hash_to_group, pairing_check_with_generator, GroupElement, PairingAccumulator};
-use crate::poly::{lagrange_coefficients_at_zero, Polynomial};
+use crate::poly::Polynomial;
 use crate::rng::SplitMix64;
 
 /// A share of the threshold secret key, held by one signer.
@@ -145,6 +145,9 @@ pub struct ThresholdPublicKey {
     public_key: GroupElement,
     share_keys: Vec<GroupElement>,
     aggregate_key: GroupElement,
+    /// `inverses[d - 1] = 1/d` for `d` in `1..n`: every gap between two
+    /// signer indices, so Lagrange coefficients need no inversion.
+    inverses: Vec<Scalar>,
 }
 
 impl ThresholdPublicKey {
@@ -251,7 +254,7 @@ impl ThresholdPublicKey {
                 valid.push(share);
             }
         }
-        Self::interpolate(valid, self.threshold)
+        self.interpolate(valid)
     }
 
     /// Combines `k`-of-`n` shares that were **already verified** upstream
@@ -284,23 +287,46 @@ impl ThresholdPublicKey {
             seen[idx] = true;
             valid.push(share);
         }
-        Self::interpolate(valid, self.threshold)
+        self.interpolate(valid)
+    }
+
+    /// The Lagrange coefficients at zero for distinct signer indices in
+    /// `1..=n`: the values of [`crate::lagrange_coefficients_at_zero`], from
+    /// multiplications by the stored inverses alone.
+    fn lagrange_at_zero(&self, indices: &[u64]) -> Vec<Scalar> {
+        indices
+            .iter()
+            .map(|&j| {
+                // λ_j = Π_{m≠j} m / (m − j); a negative gap flips the sign.
+                let mut lambda = Scalar::ONE;
+                let mut negative = false;
+                for &m in indices.iter().filter(|&&m| m != j) {
+                    let gap = m.abs_diff(j) as usize;
+                    lambda = lambda
+                        .mul(&Scalar::from_u64(m))
+                        .mul(&self.inverses[gap - 1]);
+                    negative ^= m < j;
+                }
+                if negative {
+                    lambda.neg()
+                } else {
+                    lambda
+                }
+            })
+            .collect()
     }
 
     /// Lagrange interpolation in the exponent over `threshold` distinct,
     /// validated shares.
-    fn interpolate(
-        valid: Vec<&SignatureShare>,
-        threshold: usize,
-    ) -> Result<Signature, CombineError> {
-        if valid.len() < threshold {
+    fn interpolate(&self, valid: Vec<&SignatureShare>) -> Result<Signature, CombineError> {
+        if valid.len() < self.threshold {
             return Err(CombineError::NotEnoughValidShares {
                 valid: valid.len(),
-                needed: threshold,
+                needed: self.threshold,
             });
         }
         let indices: Vec<u64> = valid.iter().map(|s| s.index as u64).collect();
-        let lambdas = lagrange_coefficients_at_zero(&indices);
+        let lambdas = self.lagrange_at_zero(&indices);
         let mut acc = GroupElement::IDENTITY;
         for (share, lambda) in valid.iter().zip(&lambdas) {
             acc = acc.add(&share.value.mul(lambda));
@@ -473,12 +499,15 @@ pub fn generate_threshold_keys(
             secret: s_i,
         });
     }
+    let mut inverses: Vec<Scalar> = (1..n as u64).map(Scalar::from_u64).collect();
+    batch_invert(&mut inverses);
     let public = ThresholdPublicKey {
         threshold: k,
         n,
         public_key: generator.mul(&secret),
         share_keys,
         aggregate_key,
+        inverses,
     };
     (public, shares)
 }
@@ -486,6 +515,7 @@ pub fn generate_threshold_keys(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poly::lagrange_coefficients_at_zero;
     use crate::sha256::sha256;
     use crate::SplitMix64;
 
@@ -522,6 +552,19 @@ mod tests {
             let sig = pk.combine(DOMAIN, &d, &picked).unwrap();
             assert!(pk.verify(DOMAIN, &d, &sig));
             assert!(pk.verify_either(DOMAIN, &d, &sig));
+        }
+    }
+
+    #[test]
+    fn stored_inverses_give_the_reference_lagrange_coefficients() {
+        let (pk, _, _) = setup(7, 5);
+        for subset in 1u32..1 << 7 {
+            let indices: Vec<u64> = (1..=7).filter(|i| subset >> (i - 1) & 1 == 1).collect();
+            assert_eq!(
+                pk.lagrange_at_zero(&indices),
+                lagrange_coefficients_at_zero(&indices),
+                "{indices:?}"
+            );
         }
     }
 

@@ -283,7 +283,7 @@ impl TxSink<'_> {
                 value: value.clone(),
             });
         }
-        self.state.insert_hashed(key_hash, key, value);
+        self.state.insert_hashed(key_hash, &key, value);
     }
 
     fn remove(&mut self, key: &[u8]) {

@@ -231,7 +231,7 @@ pub fn execute_ops_parallel(
                         key,
                         value,
                     } => {
-                        state.insert_hashed(*key_hash, key.clone(), value.clone());
+                        state.insert_hashed(*key_hash, key, value.clone());
                     }
                     WriteCmd::Delete { key_hash, key } => {
                         state.remove_hashed(key_hash, key);
@@ -334,7 +334,7 @@ mod tests {
         let executor: Arc<dyn OpExecutor> = Arc::new(PutExecutor);
         let pool = WavePool::new(threads);
         let mut state = AuthKv::new();
-        state.insert(b"a".to_vec(), b"seed".to_vec());
+        state.insert(b"a", b"seed".to_vec());
         let out = execute_ops_parallel(&mut state, ops, &executor, &pool);
         (out.results, state.root(), out.cost_ns, out.aux)
     }

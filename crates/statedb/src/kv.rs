@@ -1,7 +1,18 @@
 //! The authenticated key-value service used by the micro-benchmarks
 //! (§IX "Key-Value store benchmark").
+//!
+//! Ops reach execution as opaque bytes (consensus never looks inside
+//! them), so every op is read by one decoder, [`KvOpRef::parse`], which
+//! borrows: keys and values stay slices of the op's bytes, and a put
+//! allocates only the value the trie keeps (and the key, if it is new to
+//! the store). The serial executor, the wave planner and the owned
+//! [`KvOp`] codec all go through it. Batches are flat: a batch inside a
+//! batch does not decode, so no step recurses on input depth, and such an
+//! op executes as the deterministic no-op every malformed op is. Keys are
+//! hashed per access, with no memo: a short key is one `compress` call on
+//! the one-shot path of [`sbft_crypto::sha256`].
 
-use std::collections::HashMap;
+use std::slice;
 
 use sbft_types::{Digest, SeqNum};
 
@@ -37,10 +48,14 @@ pub enum KvOp {
     Noop,
     /// A client-side batch: the paper's batching mode packs 64 operations
     /// into one request (§IX "Measurements"). Executes each in order;
-    /// the result is the concatenated sub-results' digest-free outputs of
-    /// the *last* operation (benchmark puts return nothing anyway).
+    /// the result is the output of the *last* operation (benchmark puts
+    /// return nothing anyway). A batch inside a batch encodes, but does
+    /// not decode: such an op executes as a no-op.
     Batch(Vec<KvOp>),
 }
+
+/// Wire tag of [`KvOp::Batch`].
+const BATCH_TAG: u8 = 4;
 
 impl Wire for KvOp {
     fn encode(&self, enc: &mut Encoder) {
@@ -60,7 +75,7 @@ impl Wire for KvOp {
             }
             KvOp::Noop => enc.put_u8(3),
             KvOp::Batch(ops) => {
-                enc.put_u8(4);
+                enc.put_u8(BATCH_TAG);
                 enc.put_varint(ops.len() as u64);
                 for op in ops {
                     op.encode(enc);
@@ -70,34 +85,151 @@ impl Wire for KvOp {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(KvOpRef::read(dec)?.to_op())
+    }
+}
+
+/// One key-value access read in place: its key and value borrow the
+/// encoded op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KvAccess<'a> {
+    Put { key: &'a [u8], value: &'a [u8] },
+    Get { key: &'a [u8] },
+    Delete { key: &'a [u8] },
+    Noop,
+}
+
+impl<'a> KvAccess<'a> {
+    /// Reads the access after its `tag`; a batch tag is rejected.
+    fn read(tag: u8, dec: &mut Decoder<'a>) -> Result<Self, DecodeError> {
+        Ok(match tag {
+            0 => KvAccess::Put {
+                key: dec.get_bytes()?,
+                value: dec.get_bytes()?,
+            },
+            1 => KvAccess::Get {
+                key: dec.get_bytes()?,
+            },
+            2 => KvAccess::Delete {
+                key: dec.get_bytes()?,
+            },
+            3 => KvAccess::Noop,
+            BATCH_TAG => {
+                return Err(DecodeError::InvalidValue {
+                    what: "KvOp batch inside a batch",
+                })
+            }
+            _ => return Err(DecodeError::InvalidValue { what: "KvOp tag" }),
+        })
+    }
+
+    fn to_op(self) -> KvOp {
+        match self {
+            KvAccess::Put { key, value } => KvOp::Put {
+                key: key.to_vec(),
+                value: value.to_vec(),
+            },
+            KvAccess::Get { key } => KvOp::Get { key: key.to_vec() },
+            KvAccess::Delete { key } => KvOp::Delete { key: key.to_vec() },
+            KvAccess::Noop => KvOp::Noop,
+        }
+    }
+}
+
+/// A [`KvOp`] read in place: one access, or a flat batch of them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum KvOpRef<'a> {
+    One(KvAccess<'a>),
+    Batch(Vec<KvAccess<'a>>),
+}
+
+impl<'a> KvOpRef<'a> {
+    /// Decodes a whole encoded op, as [`Wire::from_wire_bytes`] does:
+    /// trailing bytes are an error.
+    fn parse(bytes: &'a [u8]) -> Result<Self, DecodeError> {
+        let mut dec = Decoder::new(bytes);
+        let op = KvOpRef::read(&mut dec)?;
+        match dec.remaining() {
+            0 => Ok(op),
+            count => Err(DecodeError::TrailingBytes { count }),
+        }
+    }
+
+    fn read(dec: &mut Decoder<'a>) -> Result<Self, DecodeError> {
         match dec.get_u8()? {
-            0 => Ok(KvOp::Put {
-                key: dec.get_bytes()?.to_vec(),
-                value: dec.get_bytes()?.to_vec(),
-            }),
-            1 => Ok(KvOp::Get {
-                key: dec.get_bytes()?.to_vec(),
-            }),
-            2 => Ok(KvOp::Delete {
-                key: dec.get_bytes()?.to_vec(),
-            }),
-            3 => Ok(KvOp::Noop),
-            4 => {
+            BATCH_TAG => {
                 let count = dec.get_varint()? as usize;
+                // Every access takes at least one byte: bounds the
+                // allocation below by the input's length.
                 if count > dec.remaining() {
                     return Err(DecodeError::UnexpectedEof {
                         needed: count,
                         remaining: dec.remaining(),
                     });
                 }
-                let mut ops = Vec::with_capacity(count);
+                let mut accesses = Vec::with_capacity(count);
                 for _ in 0..count {
-                    ops.push(KvOp::decode(dec)?);
+                    let tag = dec.get_u8()?;
+                    accesses.push(KvAccess::read(tag, dec)?);
                 }
-                Ok(KvOp::Batch(ops))
+                Ok(KvOpRef::Batch(accesses))
             }
-            _ => Err(DecodeError::InvalidValue { what: "KvOp tag" }),
+            tag => Ok(KvOpRef::One(KvAccess::read(tag, dec)?)),
         }
+    }
+
+    /// The op's accesses, in execution order.
+    fn accesses(&self) -> &[KvAccess<'a>] {
+        match self {
+            KvOpRef::One(access) => slice::from_ref(access),
+            KvOpRef::Batch(accesses) => accesses,
+        }
+    }
+
+    fn to_op(&self) -> KvOp {
+        match self {
+            KvOpRef::One(access) => access.to_op(),
+            KvOpRef::Batch(accesses) => {
+                KvOp::Batch(accesses.iter().map(|access| access.to_op()).collect())
+            }
+        }
+    }
+
+    /// Runs the accesses in order against `state` and returns the last
+    /// one's result. The wave planner passes `writes` to record each
+    /// write for its serial apply; the serial executor passes `None`.
+    fn run(&self, state: &mut AuthKv, mut writes: Option<&mut Vec<WriteCmd>>) -> Vec<u8> {
+        let mut result = Vec::new();
+        for access in self.accesses() {
+            result = match *access {
+                KvAccess::Put { key, value } => {
+                    let key_hash = *sha256(key).as_bytes();
+                    if let Some(writes) = writes.as_deref_mut() {
+                        writes.push(WriteCmd::Put {
+                            key_hash,
+                            key: key.to_vec(),
+                            value: value.to_vec(),
+                        });
+                    }
+                    state
+                        .insert_hashed(key_hash, key, value.to_vec())
+                        .unwrap_or_default()
+                }
+                KvAccess::Get { key } => state.get(key).map(<[u8]>::to_vec).unwrap_or_default(),
+                KvAccess::Delete { key } => {
+                    let key_hash = *sha256(key).as_bytes();
+                    if let Some(writes) = writes.as_deref_mut() {
+                        writes.push(WriteCmd::Delete {
+                            key_hash,
+                            key: key.to_vec(),
+                        });
+                    }
+                    state.remove_hashed(&key_hash, key).unwrap_or_default()
+                }
+                KvAccess::Noop => Vec::new(),
+            };
+        }
+        result
     }
 }
 
@@ -123,6 +255,31 @@ impl Default for KvCostModel {
     }
 }
 
+impl KvCostModel {
+    /// The modeled cost of one op: `per_op_ns` for each access and once
+    /// more for a batch itself, plus `write_per_byte_ns` per byte put. A
+    /// malformed op (`None`) costs `per_op_ns`.
+    fn op_ns(&self, op: Option<&KvOpRef<'_>>) -> u64 {
+        let Some(op) = op else {
+            return self.per_op_ns;
+        };
+        let batch_ns = match op {
+            KvOpRef::One(_) => 0,
+            KvOpRef::Batch(_) => self.per_op_ns,
+        };
+        op.accesses()
+            .iter()
+            .map(|access| match access {
+                KvAccess::Put { key, value } => {
+                    self.per_op_ns + self.write_per_byte_ns * (key.len() + value.len()) as u64
+                }
+                _ => self.per_op_ns,
+            })
+            .sum::<u64>()
+            + batch_ns
+    }
+}
+
 /// The authenticated key-value replicated service.
 ///
 /// # Examples
@@ -144,15 +301,7 @@ pub struct KvService {
     last_executed: SeqNum,
     last_digest: Digest,
     cost: KvCostModel,
-    /// Memoized `SHA-256(key)` for trie addressing: benchmark and real
-    /// workloads revisit a working set of keys, and each op used to
-    /// re-hash its key before touching the trie. Bounded; clearing only
-    /// costs re-hashing.
-    key_hash_memo: HashMap<Vec<u8>, [u8; 32]>,
 }
-
-/// Bound on [`KvService::key_hash_memo`].
-const KEY_HASH_MEMO_CAP: usize = 65_536;
 
 impl KvService {
     /// Creates an empty service with default costs.
@@ -201,60 +350,14 @@ impl KvService {
     }
 
     fn apply(&mut self, op_bytes: &[u8]) -> (Vec<u8>, u64) {
-        match KvOp::from_wire_bytes(op_bytes) {
-            Ok(op) => self.apply_op(op),
-            // Malformed operations execute as no-ops deterministically: all
-            // replicas see the same bytes, so all agree on the outcome.
-            Err(_) => (Vec::new(), self.cost.per_op_ns),
-        }
-    }
-
-    /// `SHA-256(key)`, memoized across operations and blocks.
-    fn key_hash(&mut self, key: &[u8]) -> [u8; 32] {
-        if let Some(hash) = self.key_hash_memo.get(key) {
-            return *hash;
-        }
-        let hash = *sha256(key).as_bytes();
-        if self.key_hash_memo.len() >= KEY_HASH_MEMO_CAP {
-            self.key_hash_memo.clear();
-        }
-        self.key_hash_memo.insert(key.to_vec(), hash);
-        hash
-    }
-
-    fn apply_op(&mut self, op: KvOp) -> (Vec<u8>, u64) {
-        let mut cost = self.cost.per_op_ns;
-        let result = match op {
-            KvOp::Put { key, value } => {
-                cost += self.cost.write_per_byte_ns * (key.len() + value.len()) as u64;
-                let hash = self.key_hash(&key);
-                self.state
-                    .insert_hashed(hash, key, value)
-                    .unwrap_or_default()
-            }
-            KvOp::Get { key } => {
-                let hash = self.key_hash(&key);
-                self.state
-                    .get_hashed(&hash, &key)
-                    .map(<[u8]>::to_vec)
-                    .unwrap_or_default()
-            }
-            KvOp::Delete { key } => {
-                let hash = self.key_hash(&key);
-                self.state.remove_hashed(&hash, &key).unwrap_or_default()
-            }
-            KvOp::Noop => Vec::new(),
-            KvOp::Batch(ops) => {
-                let mut last = Vec::new();
-                for op in ops {
-                    let (r, c) = self.apply_op(op);
-                    last = r;
-                    cost += c;
-                }
-                last
-            }
+        let op = KvOpRef::parse(op_bytes).ok();
+        // Malformed operations execute as no-ops deterministically: all
+        // replicas see the same bytes, so all agree on the outcome.
+        let result = match &op {
+            Some(op) => op.run(&mut self.state, None),
+            None => Vec::new(),
         };
-        (result, cost)
+        (result, self.cost.op_ns(op.as_ref()))
     }
 }
 
@@ -272,92 +375,39 @@ impl KvPlanner {
     pub fn with_cost(cost: KvCostModel) -> Self {
         KvPlanner { cost }
     }
-
-    fn declare(op: &KvOp, set: &mut ReadWriteSet) {
-        match op {
-            KvOp::Put { key, .. } | KvOp::Delete { key } => {
-                set.writes.insert(key.clone());
-            }
-            KvOp::Get { key } => {
-                set.reads.insert(key.clone());
-            }
-            KvOp::Noop => {}
-            KvOp::Batch(ops) => {
-                for op in ops {
-                    KvPlanner::declare(op, set);
-                }
-            }
-        }
-    }
-
-    /// Mirrors [`KvService::apply_op`] byte-for-byte, playing writes into a
-    /// private snapshot clone (so batch sub-ops observe each other) while
-    /// recording them for the serial apply phase.
-    fn plan(
-        cost_model: &KvCostModel,
-        state: &mut AuthKv,
-        op: KvOp,
-        out: &mut PlannedOp,
-    ) -> Vec<u8> {
-        out.cost_ns += cost_model.per_op_ns;
-        match op {
-            KvOp::Put { key, value } => {
-                out.cost_ns += cost_model.write_per_byte_ns * (key.len() + value.len()) as u64;
-                let key_hash = *sha256(&key).as_bytes();
-                out.writes.push(WriteCmd::Put {
-                    key_hash,
-                    key: key.clone(),
-                    value: value.clone(),
-                });
-                state
-                    .insert_hashed(key_hash, key, value)
-                    .unwrap_or_default()
-            }
-            KvOp::Get { key } => {
-                let key_hash = *sha256(&key).as_bytes();
-                state
-                    .get_hashed(&key_hash, &key)
-                    .map(<[u8]>::to_vec)
-                    .unwrap_or_default()
-            }
-            KvOp::Delete { key } => {
-                let key_hash = *sha256(&key).as_bytes();
-                out.writes.push(WriteCmd::Delete {
-                    key_hash,
-                    key: key.clone(),
-                });
-                state.remove_hashed(&key_hash, &key).unwrap_or_default()
-            }
-            KvOp::Noop => Vec::new(),
-            KvOp::Batch(ops) => {
-                let mut last = Vec::new();
-                for op in ops {
-                    last = KvPlanner::plan(cost_model, state, op, out);
-                }
-                last
-            }
-        }
-    }
 }
 
 impl OpExecutor for KvPlanner {
     fn rw_set(&self, op: &[u8]) -> ReadWriteSet {
         let mut set = ReadWriteSet::empty();
-        if let Ok(op) = KvOp::from_wire_bytes(op) {
-            KvPlanner::declare(&op, &mut set);
+        if let Ok(op) = KvOpRef::parse(op) {
+            for access in op.accesses() {
+                match *access {
+                    KvAccess::Put { key, .. } | KvAccess::Delete { key } => {
+                        set.writes.insert(key.to_vec());
+                    }
+                    KvAccess::Get { key } => {
+                        set.reads.insert(key.to_vec());
+                    }
+                    KvAccess::Noop => {}
+                }
+            }
         }
         set
     }
 
+    /// Runs the op the way [`KvService`] does, on a private snapshot clone
+    /// (so batch accesses observe each other), recording its writes for
+    /// the serial apply phase.
     fn plan_op(&self, state: &AuthKv, op: &[u8]) -> PlannedOp {
-        let mut out = PlannedOp::default();
-        match KvOp::from_wire_bytes(op) {
-            Ok(op) => {
-                let mut scratch = state.clone();
-                out.result = KvPlanner::plan(&self.cost, &mut scratch, op, &mut out);
-            }
-            // Same deterministic no-op as the serial path.
-            Err(_) => out.cost_ns = self.cost.per_op_ns,
+        let op = KvOpRef::parse(op).ok();
+        let mut out = PlannedOp {
+            cost_ns: self.cost.op_ns(op.as_ref()),
+            ..PlannedOp::default()
+        };
+        // Same deterministic no-op as the serial path when malformed.
+        if let Some(op) = &op {
+            out.result = op.run(&mut state.clone(), Some(&mut out.writes));
         }
         out
     }
@@ -425,6 +475,7 @@ impl Service for KvService {
 mod tests {
     use super::*;
     use crate::service::verify_execution;
+    use sbft_crypto::SplitMix64;
 
     fn put(key: &str, value: &str) -> Vec<u8> {
         KvOp::Put {
@@ -451,10 +502,54 @@ mod tests {
             KvOp::Get { key: b"k".to_vec() },
             KvOp::Delete { key: b"k".to_vec() },
             KvOp::Noop,
+            KvOp::Batch(vec![KvOp::Get { key: b"k".to_vec() }, KvOp::Noop]),
+            KvOp::Batch(Vec::new()),
         ] {
             assert_eq!(KvOp::from_wire_bytes(&op.to_wire_bytes()).unwrap(), op);
         }
         assert!(KvOp::from_wire_bytes(&[99]).is_err());
+        let nested = KvOp::Batch(vec![KvOp::Batch(vec![KvOp::Noop])]);
+        assert_eq!(
+            KvOp::from_wire_bytes(&nested.to_wire_bytes()),
+            Err(DecodeError::InvalidValue {
+                what: "KvOp batch inside a batch"
+            })
+        );
+    }
+
+    #[test]
+    fn borrowed_and_owned_decoders_agree_on_mutated_batches() {
+        let mut rng = SplitMix64::new(0x5bf7_0002);
+        let mut decoded = 0;
+        for case in 0..3000 {
+            let ops = (0..1 + rng.next_u64() % 6)
+                .map(|_| {
+                    let key = (rng.next_u64() % 1024).to_le_bytes().to_vec();
+                    match rng.next_u64() % 4 {
+                        0 => KvOp::Put {
+                            key,
+                            value: rng.next_u64().to_le_bytes().to_vec(),
+                        },
+                        1 => KvOp::Get { key },
+                        2 => KvOp::Delete { key },
+                        _ => KvOp::Noop,
+                    }
+                })
+                .collect();
+            let mut bytes = KvOp::Batch(ops).to_wire_bytes();
+            let at = (rng.next_u64() % bytes.len() as u64) as usize;
+            match rng.next_u64() % 3 {
+                0 => bytes.truncate(at),
+                1 => bytes[at] ^= 1 << (rng.next_u64() % 8),
+                _ => bytes.extend((0..1 + rng.next_u64() % 4).map(|_| rng.next_u64() as u8)),
+            }
+            let owned = KvOp::from_wire_bytes(&bytes);
+            let borrowed = KvOpRef::parse(&bytes).map(|op| op.to_op());
+            assert_eq!(borrowed, owned, "case {case}: {bytes:?}");
+            decoded += usize::from(owned.is_ok());
+        }
+        // Bit flips in keys and values still decode: both outcomes occur.
+        assert!(decoded > 300 && decoded < 2700, "{decoded} decoded");
     }
 
     #[test]
@@ -515,13 +610,40 @@ mod tests {
 
     #[test]
     fn malformed_op_is_deterministic_noop() {
-        let mut a = KvService::new();
-        let mut b = KvService::new();
-        let bad = vec![0xff, 0x01, 0x02];
-        let ea = a.execute_block(SeqNum::new(1), &[bad.clone()]);
-        let eb = b.execute_block(SeqNum::new(1), &[bad]);
-        assert_eq!(ea.state_digest, eb.state_digest);
-        assert_eq!(ea.results[0], Vec::<u8>::new());
+        let batch = KvOp::Batch(vec![
+            KvOp::Put {
+                key: b"a".to_vec(),
+                value: b"2".to_vec(),
+            },
+            KvOp::Delete { key: b"a".to_vec() },
+        ])
+        .to_wire_bytes();
+        let truncated = batch[..batch.len() - 1].to_vec();
+        let trailing = [batch.as_slice(), &[0]].concat();
+        let nested = KvOp::Batch(vec![KvOp::from_wire_bytes(&batch).unwrap()]).to_wire_bytes();
+        // A no-op inside 200,000 nested batches, 400,001 bytes: a decoder
+        // that recursed per level overflowed the stack here.
+        let deep = [[BATCH_TAG, 1].repeat(200_000), vec![3]].concat();
+        let pool = WavePool::new(2);
+        let block = |op: Vec<u8>| vec![put("a", "1"), op, get("a")];
+        let noop =
+            KvService::new().execute_block(SeqNum::new(1), &block(KvOp::Noop.to_wire_bytes()));
+        for (name, bad) in [
+            ("unknown tag", vec![0xff, 0x01, 0x02]),
+            ("truncated batch", truncated),
+            ("trailing bytes", trailing),
+            ("nested batch", nested),
+            ("deeply nested batch", deep),
+        ] {
+            let ops = block(bad);
+            let serial = KvService::new().execute_block(SeqNum::new(1), &ops);
+            let wave = KvService::new().execute_block_parallel(SeqNum::new(1), &ops, &pool);
+            assert_eq!(wave, serial, "{name}: wave path");
+            // Exactly what a no-op does: no result, no write, one op's cost.
+            assert_eq!(serial.results, noop.results, "{name}");
+            assert_eq!(serial.state_root, noop.state_root, "{name}");
+            assert_eq!(serial.cpu_cost_ns, noop.cpu_cost_ns, "{name}");
+        }
     }
 
     #[test]
@@ -577,19 +699,25 @@ mod parallel_tests {
             5 => KvOp::Noop,
             _ => {
                 let len = 1 + (rng.next_u64() % 5) as usize;
-                return if rng.next_u64() % 4 == 0 {
-                    // Malformed bytes: must stay a deterministic no-op.
-                    vec![0xfe; len]
-                } else {
-                    KvOp::Batch(
-                        (0..len)
-                            .map(|_| {
-                                let sub = random_op(rng, depth + 1);
-                                KvOp::from_wire_bytes(&sub).unwrap_or(KvOp::Noop)
-                            })
-                            .collect::<Vec<_>>(),
-                    )
-                    .to_wire_bytes()
+                let batch = KvOp::Batch(
+                    (0..len)
+                        .map(|_| {
+                            let sub = random_op(rng, depth + 1);
+                            KvOp::from_wire_bytes(&sub).unwrap_or(KvOp::Noop)
+                        })
+                        .collect::<Vec<_>>(),
+                );
+                // Malformed bytes, a batch inside a batch and a truncated
+                // batch must all stay deterministic no-ops.
+                return match rng.next_u64() % 8 {
+                    0 => vec![0xfe; len],
+                    1 => KvOp::Batch(vec![batch]).to_wire_bytes(),
+                    2 => {
+                        let mut bytes = batch.to_wire_bytes();
+                        bytes.pop();
+                        bytes
+                    }
+                    _ => batch.to_wire_bytes(),
                 };
             }
         };

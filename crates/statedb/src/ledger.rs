@@ -197,7 +197,7 @@ impl ChunkAssembler {
         let mut state = AuthKv::new();
         for chunk in self.received.values() {
             for (k, v) in &chunk.entries {
-                state.insert(k.clone(), v.clone());
+                state.insert(k, v.clone());
             }
         }
         Some((seq, state))
@@ -250,7 +250,7 @@ mod tests {
             ledger.commit(block(s, "x"));
         }
         let mut state = AuthKv::new();
-        state.insert(b"k".to_vec(), b"v".to_vec());
+        state.insert(b"k", b"v".to_vec());
         ledger.install_checkpoint(Checkpoint {
             seq: SeqNum::new(7),
             state_digest: Digest::new([1; 32]),
@@ -265,7 +265,7 @@ mod tests {
     fn chunked_state_transfer_round_trip() {
         let mut state = AuthKv::new();
         for i in 0..25u32 {
-            state.insert(i.to_string().into_bytes(), vec![i as u8]);
+            state.insert(i.to_string().as_bytes(), vec![i as u8]);
         }
         let digest = state.root();
         let mut ledger = Ledger::new();
@@ -295,9 +295,9 @@ mod tests {
     #[test]
     fn assembler_prefers_newer_checkpoint() {
         let mut old_state = AuthKv::new();
-        old_state.insert(b"old".to_vec(), b"1".to_vec());
+        old_state.insert(b"old", b"1".to_vec());
         let mut new_state = AuthKv::new();
-        new_state.insert(b"new".to_vec(), b"2".to_vec());
+        new_state.insert(b"new", b"2".to_vec());
 
         let make_chunks = |seq: u64, state: &AuthKv| {
             let mut ledger = Ledger::new();

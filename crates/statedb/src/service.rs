@@ -101,12 +101,12 @@ fn result_leaf(l: usize, op: &[u8], val: &[u8]) -> Vec<u8> {
 
 /// Combines a block's components into the signed state digest `d_s`.
 pub fn combine_state_digest(seq: SeqNum, state_root: &Digest, results_root: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update(b"sbft-state|");
-    h.update(&seq.get().to_le_bytes());
-    h.update(state_root.as_bytes());
-    h.update(results_root.as_bytes());
-    h.finalize()
+    sha256_concat(&[
+        b"sbft-state|",
+        &seq.get().to_le_bytes(),
+        state_root.as_bytes(),
+        results_root.as_bytes(),
+    ])
 }
 
 /// Builds the Merkle tree over a block's results.

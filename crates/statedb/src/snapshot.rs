@@ -127,7 +127,7 @@ impl Snapshot {
     pub fn rebuild_state(&self) -> AuthKv {
         let mut state = AuthKv::new();
         for (k, v) in &self.entries {
-            state.insert(k.clone(), v.clone());
+            state.insert(k, v.clone());
         }
         state
     }
@@ -246,7 +246,7 @@ mod tests {
         for _ in 0..entries {
             let k = rng.next_u64().to_le_bytes().to_vec();
             let v = rng.next_u64().to_le_bytes().to_vec();
-            state.insert(k, v);
+            state.insert(&k, v);
         }
         state
     }

@@ -11,13 +11,16 @@
 //! the whole store are O(1) and share structure — this is what makes
 //! per-sequence-number state snapshots (§IV `D_s`) affordable.
 //!
-//! A write descends twice. The first pass is read-only: the leaf the key's
-//! bits lead to shares the longest hash prefix with the key, so the first
-//! bit at which their hashes differ is where the key splits off (the
-//! classic crit-bit insert). The second pass takes each node on the path
-//! through `Arc::make_mut`: a node nothing else holds is mutated in place,
-//! and a node is copied only when a snapshot shares it. Between snapshots
-//! a write therefore allocates nothing but the new leaf and its branch.
+//! A write descends from the root to the leaf the key's bits lead to,
+//! taking each node on the path through `Arc::make_mut`: a node nothing
+//! else holds is mutated in place, and a node is copied only when a
+//! snapshot shares it. On an update that leaf is the key's own, and the
+//! write ends there. A new key splits off where its hash first differs
+//! from that leaf's (the classic crit-bit insert), which a second descent
+//! reaches; the first one's extra work below the split is a few cleared
+//! digests that re-hash to the same values. Writes take the key by
+//! reference, so between snapshots an update allocates nothing and an
+//! insert only the new leaf (with its key) and its branch.
 //!
 //! Node digests are **lazy**: a write only clears the cached digests on
 //! its path, and hashes are computed on the first [`AuthKv::root`] /
@@ -25,20 +28,37 @@
 //! shared subtrees never re-hash). A block that touches a hot path through
 //! the trie many times pays for one digest recomputation of that path per
 //! block, not one per operation — the execute loop's root caching the
-//! replica relies on.
+//! replica relies on. A leaf hashes 9 bytes plus its key and value, and a
+//! branch 67 bytes, so with short keys and values each is one `compress`
+//! call of one or two blocks on the one-shot path of
+//! [`sbft_crypto::sha256_concat`].
 //!
-//! Nodes are `Arc`-counted with `OnceLock` digest cells, so [`AuthKv`] is
+//! Each node caches its digest in a `DigestCell` of four atomic words,
+//! all zero while unset, written once after each write to the node.
+//! A digest is a pure function of the node's contents, which are
+//! immutable while the node is shared, so threads hashing one snapshot at
+//! once (wave workers, the executor thread) may race to fill a cell, and
+//! every racer stores the same four words. A reader trusts the cell only
+//! when no word is zero, and those are then the final words; a partly
+//! written cell reads as unset and is hashed again. So the cell needs no
+//! lock, no `Once` and no atomic read-modify-write, and no ordering
+//! beyond each word's own. Clearing it takes `&mut`, which no reader can
+//! overlap. A digest with a zero word (probability 2^-62) is never cached,
+//! only re-hashed on each use.
+//!
+//! Nodes are `Arc`-counted with these cells, so [`AuthKv`] is
 //! `Send + Sync`: the execution pipeline ships O(1) snapshots across
 //! threads and wave workers read one snapshot concurrently (see
 //! [`crate::exec`]). Mutation still requires `&mut AuthKv` — concurrency
 //! is over immutable snapshots, never shared writes.
 
 use std::mem;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use sbft_types::Digest;
 
-use sbft_crypto::{sha256, Sha256};
+use sbft_crypto::{sha256, sha256_concat};
 
 /// Returns bit `i` (0 = most significant) of a 32-byte hash.
 fn bit(hash: &[u8; 32], i: u16) -> bool {
@@ -58,36 +78,76 @@ fn first_diff_bit(a: &[u8; 32], b: &[u8; 32]) -> Option<u16> {
 }
 
 fn leaf_digest(key: &[u8], value: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[0x00]);
-    h.update(&(key.len() as u64).to_le_bytes());
-    h.update(key);
-    h.update(value);
-    h.finalize()
+    sha256_concat(&[&[0x00], &(key.len() as u64).to_le_bytes(), key, value])
 }
 
 fn branch_digest(crit_bit: u16, left: &Digest, right: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[0x01]);
-    h.update(&crit_bit.to_le_bytes());
-    h.update(left.as_bytes());
-    h.update(right.as_bytes());
-    h.finalize()
+    sha256_concat(&[
+        &[0x01],
+        &crit_bit.to_le_bytes(),
+        left.as_bytes(),
+        right.as_bytes(),
+    ])
+}
+
+/// A node's cached digest, written at most once between writes to the
+/// node (see the module docs): all-zero words mean unset.
+#[derive(Debug, Default)]
+struct DigestCell([AtomicU64; 4]);
+
+impl DigestCell {
+    /// The cached digest, if every word of it has been stored.
+    fn get(&self) -> Option<Digest> {
+        let words = self.0.each_ref().map(|word| word.load(Ordering::Relaxed));
+        if words.contains(&0) {
+            return None;
+        }
+        let mut bytes = [0u8; 32];
+        for (chunk, word) in bytes.chunks_exact_mut(8).zip(words) {
+            chunk.copy_from_slice(&word.to_ne_bytes());
+        }
+        Some(Digest::new(bytes))
+    }
+
+    /// Stores `digest`: racing stores all write these same words.
+    fn set(&self, digest: &Digest) {
+        for (word, chunk) in self.0.iter().zip(digest.as_bytes().chunks_exact(8)) {
+            let chunk = chunk.try_into().expect("8-byte chunk");
+            word.store(u64::from_ne_bytes(chunk), Ordering::Relaxed);
+        }
+    }
+
+    /// Unsets the cell; `&mut` keeps every reader out.
+    fn clear(&mut self) {
+        for word in &mut self.0 {
+            *word.get_mut() = 0;
+        }
+    }
+}
+
+impl Clone for DigestCell {
+    fn clone(&self) -> Self {
+        DigestCell(
+            self.0
+                .each_ref()
+                .map(|word| AtomicU64::new(word.load(Ordering::Relaxed))),
+        )
+    }
 }
 
 #[derive(Debug, Clone)]
 enum Node {
     Leaf {
         key_hash: [u8; 32],
-        key: Vec<u8>,
-        value: Vec<u8>,
-        digest: OnceLock<Digest>,
+        key: Box<[u8]>,
+        value: Box<[u8]>,
+        digest: DigestCell,
     },
     Branch {
         crit_bit: u16,
         left: Arc<Node>,
         right: Arc<Node>,
-        digest: OnceLock<Digest>,
+        digest: DigestCell,
     },
 }
 
@@ -96,25 +156,31 @@ impl Node {
     /// node. Shared (copy-on-write) subtrees keep their filled cells, so
     /// after a batch of writes only the written paths re-hash.
     fn digest(&self) -> Digest {
-        match self {
-            Node::Leaf {
-                key, value, digest, ..
-            } => *digest.get_or_init(|| leaf_digest(key, value)),
+        let cell = match self {
+            Node::Leaf { digest, .. } | Node::Branch { digest, .. } => digest,
+        };
+        if let Some(digest) = cell.get() {
+            return digest;
+        }
+        let digest = match self {
+            Node::Leaf { key, value, .. } => leaf_digest(key, value),
             Node::Branch {
                 crit_bit,
                 left,
                 right,
-                digest,
-            } => *digest.get_or_init(|| branch_digest(*crit_bit, &left.digest(), &right.digest())),
-        }
+                ..
+            } => branch_digest(*crit_bit, &left.digest(), &right.digest()),
+        };
+        cell.set(&digest);
+        digest
     }
 
-    fn leaf(key_hash: [u8; 32], key: Vec<u8>, value: Vec<u8>) -> Arc<Node> {
+    fn leaf(key_hash: [u8; 32], key: &[u8], value: Vec<u8>) -> Arc<Node> {
         Arc::new(Node::Leaf {
             key_hash,
-            key,
-            value,
-            digest: OnceLock::new(),
+            key: key.into(),
+            value: value.into_boxed_slice(),
+            digest: DigestCell::default(),
         })
     }
 
@@ -130,7 +196,7 @@ impl Node {
                 right,
                 digest,
             } => {
-                digest.take();
+                digest.clear();
                 if bit(key_hash, *crit_bit) {
                     right
                 } else {
@@ -145,7 +211,7 @@ impl Node {
     /// nothing else holds the leaf, cloned when a snapshot does.
     fn into_value(leaf: Arc<Node>) -> Option<Vec<u8>> {
         match Arc::unwrap_or_clone(leaf) {
-            Node::Leaf { value, .. } => Some(value),
+            Node::Leaf { value, .. } => Some(value.into_vec()),
             Node::Branch { .. } => None,
         }
     }
@@ -219,9 +285,9 @@ impl TrieProof {
 /// use sbft_statedb::AuthKv;
 ///
 /// let mut kv = AuthKv::new();
-/// kv.insert(b"alice".to_vec(), b"100".to_vec());
+/// kv.insert(b"alice", b"100".to_vec());
 /// let snapshot = kv.clone(); // O(1), shares structure
-/// kv.insert(b"alice".to_vec(), b"50".to_vec());
+/// kv.insert(b"alice", b"50".to_vec());
 /// assert_eq!(snapshot.get(b"alice"), Some(&b"100"[..]));
 /// assert_eq!(kv.get(b"alice"), Some(&b"50"[..]));
 /// assert_ne!(snapshot.root(), kv.root());
@@ -279,67 +345,68 @@ impl AuthKv {
 
     /// Looks up a key.
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        self.get_hashed(&*sha256(key).as_bytes(), key)
-    }
-
-    /// [`AuthKv::get`] with the key's SHA-256 already computed — callers
-    /// that touch the same keys repeatedly (a block's execute loop)
-    /// memoize the hash instead of re-hashing per operation.
-    pub fn get_hashed(&self, key_hash: &[u8; 32], key: &[u8]) -> Option<&[u8]> {
-        match self.leaf_for(key_hash)? {
+        match self.leaf_for(sha256(key).as_bytes())? {
             Node::Leaf {
                 key: found, value, ..
-            } if found.as_slice() == key => Some(value),
+            } if **found == *key => Some(value),
             _ => None,
         }
     }
 
-    /// Inserts or updates a key, returning the previous value if any.
-    pub fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Option<Vec<u8>> {
-        let key_hash = *sha256(&key).as_bytes();
-        self.insert_hashed(key_hash, key, value)
+    /// Inserts or updates a key, returning the previous value if any. The
+    /// key is copied only when it is new to the store.
+    pub fn insert(&mut self, key: &[u8], value: Vec<u8>) -> Option<Vec<u8>> {
+        self.insert_hashed(*sha256(key).as_bytes(), key, value)
     }
 
     /// [`AuthKv::insert`] with the key's SHA-256 already computed.
     pub fn insert_hashed(
         &mut self,
         key_hash: [u8; 32],
-        key: Vec<u8>,
+        key: &[u8],
         value: Vec<u8>,
     ) -> Option<Vec<u8>> {
-        // First descent, read-only: the crit bit is the first bit at which
-        // the key's hash differs from the leaf its bits lead to.
-        let Some(Node::Leaf {
-            key_hash: found, ..
-        }) = self.leaf_for(&key_hash)
-        else {
+        let Some(mut slot) = self.root.as_mut() else {
             // An empty store: the key becomes the root.
             self.root = Some(Node::leaf(key_hash, key, value));
             self.len = 1;
             return None;
         };
-        let crit = first_diff_bit(found, &key_hash);
-        // Second descent, in place: past every branch that tests a bit
-        // before the crit bit (every branch, on an update).
-        let mut slot = self.root.as_mut().expect("a leaf was found");
-        while let Node::Branch { crit_bit, .. } = **slot {
-            if crit.is_some_and(|crit| crit < crit_bit) {
-                break;
-            }
+        // First descent, in place, to the leaf the key's bits lead to: the
+        // key's own leaf on an update, which then ends here.
+        while let Node::Branch { .. } = **slot {
             slot = Node::child_mut(slot, &key_hash);
         }
-        let Some(crit) = crit else {
-            // Same hash: an update of the stored key (hash collisions are
-            // cryptographically negligible).
+        let Node::Leaf {
+            key_hash: found, ..
+        } = &**slot
+        else {
+            unreachable!("the descent ends at a leaf");
+        };
+        // The crit bit is the first bit at which the key's hash differs
+        // from that leaf's; the same hash is an update of the stored key
+        // (hash collisions are cryptographically negligible).
+        let Some(crit) = first_diff_bit(found, &key_hash) else {
             let Node::Leaf {
                 value: old, digest, ..
             } = Arc::make_mut(slot)
             else {
-                unreachable!("an update descends to the key's leaf");
+                unreachable!("the descent ends at a leaf");
             };
-            digest.take();
-            return Some(mem::replace(old, value));
+            digest.clear();
+            return Some(mem::replace(old, value.into_boxed_slice()).into_vec());
         };
+        // A new key: a second descent, past every branch that tests a bit
+        // before the crit bit. The first one also cleared (and, under a
+        // snapshot, copied) the few branches below the split, which then
+        // only re-hash to the same digests.
+        let mut slot = self.root.as_mut().expect("the store is not empty");
+        while let Node::Branch { crit_bit, .. } = **slot {
+            if crit < crit_bit {
+                break;
+            }
+            slot = Node::child_mut(slot, &key_hash);
+        }
         // The new key splits off above the subtree at `slot`.
         let leaf = Node::leaf(key_hash, key, value);
         let (left, right) = if bit(&key_hash, crit) {
@@ -351,7 +418,7 @@ impl AuthKv {
             crit_bit: crit,
             left,
             right,
-            digest: OnceLock::new(),
+            digest: DigestCell::default(),
         });
         self.len += 1;
         None
@@ -366,7 +433,7 @@ impl AuthKv {
     pub fn remove_hashed(&mut self, key_hash: &[u8; 32], key: &[u8]) -> Option<Vec<u8>> {
         // First descent, read-only: only a stored key changes the trie.
         match self.leaf_for(key_hash)? {
-            Node::Leaf { key: found, .. } if found.as_slice() == key => self.len -= 1,
+            Node::Leaf { key: found, .. } if **found == *key => self.len -= 1,
             _ => return None,
         }
         // Second descent, in place, to the branch above the key's leaf,
@@ -414,8 +481,8 @@ impl AuthKv {
                     // Proofs are stored leaf-to-root.
                     steps.reverse();
                     return Some(TrieProof {
-                        witness_key: leaf_key.clone(),
-                        witness_value: value.clone(),
+                        witness_key: leaf_key.to_vec(),
+                        witness_value: value.to_vec(),
                         steps,
                     });
                 }
@@ -479,6 +546,8 @@ mod tests {
     use super::*;
     use sbft_crypto::SplitMix64;
     use std::collections::BTreeMap;
+    use std::sync::Barrier;
+    use std::thread;
 
     fn random_key(rng: &mut SplitMix64, max_len: usize) -> Vec<u8> {
         let len = 1 + (rng.next_u64() as usize) % (max_len - 1);
@@ -493,7 +562,7 @@ mod tests {
     fn kv(pairs: &[(&str, &str)]) -> AuthKv {
         let mut store = AuthKv::new();
         for (k, v) in pairs {
-            store.insert(k.as_bytes().to_vec(), v.as_bytes().to_vec());
+            store.insert(k.as_bytes(), v.as_bytes().to_vec());
         }
         store
     }
@@ -502,12 +571,9 @@ mod tests {
     fn insert_get_update() {
         let mut store = AuthKv::new();
         assert_eq!(store.get(b"a"), None);
-        assert_eq!(store.insert(b"a".to_vec(), b"1".to_vec()), None);
+        assert_eq!(store.insert(b"a", b"1".to_vec()), None);
         assert_eq!(store.get(b"a"), Some(&b"1"[..]));
-        assert_eq!(
-            store.insert(b"a".to_vec(), b"2".to_vec()),
-            Some(b"1".to_vec())
-        );
+        assert_eq!(store.insert(b"a", b"2".to_vec()), Some(b"1".to_vec()));
         assert_eq!(store.get(b"a"), Some(&b"2"[..]));
         assert_eq!(store.len(), 1);
     }
@@ -516,7 +582,7 @@ mod tests {
     fn many_keys() {
         let mut store = AuthKv::new();
         for i in 0..500u32 {
-            store.insert(i.to_string().into_bytes(), vec![i as u8]);
+            store.insert(i.to_string().as_bytes(), vec![i as u8]);
         }
         assert_eq!(store.len(), 500);
         for i in 0..500u32 {
@@ -531,11 +597,11 @@ mod tests {
         // not split.
         let mut store = AuthKv::new();
         for i in 0..20u32 {
-            store.insert(i.to_string().into_bytes(), b"v1".to_vec());
+            store.insert(i.to_string().as_bytes(), b"v1".to_vec());
         }
         for i in 0..20u32 {
             assert_eq!(
-                store.insert(i.to_string().into_bytes(), b"v2".to_vec()),
+                store.insert(i.to_string().as_bytes(), b"v2".to_vec()),
                 Some(b"v1".to_vec()),
                 "update of key {i}"
             );
@@ -563,8 +629,8 @@ mod tests {
     fn snapshots_are_independent() {
         let mut store = kv(&[("k", "v1")]);
         let snap = store.clone();
-        store.insert(b"k".to_vec(), b"v2".to_vec());
-        store.insert(b"k2".to_vec(), b"x".to_vec());
+        store.insert(b"k", b"v2".to_vec());
+        store.insert(b"k2", b"x".to_vec());
         assert_eq!(snap.get(b"k"), Some(&b"v1"[..]));
         assert_eq!(snap.get(b"k2"), None);
         assert_eq!(snap.len(), 1);
@@ -575,7 +641,7 @@ mod tests {
     fn remove_works_and_restores_root() {
         let base = kv(&[("a", "1"), ("b", "2")]);
         let mut store = base.clone();
-        store.insert(b"c".to_vec(), b"3".to_vec());
+        store.insert(b"c", b"3".to_vec());
         assert_eq!(store.remove(b"c"), Some(b"3".to_vec()));
         assert_eq!(store.root(), base.root());
         assert_eq!(store.remove(b"missing"), None);
@@ -641,10 +707,10 @@ mod tests {
         for i in 0..64u32 {
             let key = i.to_string().into_bytes();
             let value = vec![i as u8; 4];
-            plain.insert(key.clone(), value.clone());
+            plain.insert(&key, value.clone());
             let h = *sha256(&key).as_bytes();
-            hashed.insert_hashed(h, key.clone(), value);
-            assert_eq!(hashed.get_hashed(&h, &key), plain.get(&key));
+            hashed.insert_hashed(h, &key, value);
+            assert_eq!(hashed.get(&key), plain.get(&key));
         }
         assert_eq!(plain.root(), hashed.root());
         for i in (0..64u32).step_by(3) {
@@ -662,11 +728,11 @@ mod tests {
         // after forcing must invalidate exactly the written path.
         let mut store = AuthKv::new();
         for i in 0..32u32 {
-            store.insert(i.to_string().into_bytes(), b"v1".to_vec());
+            store.insert(i.to_string().as_bytes(), b"v1".to_vec());
         }
         let snap_unforced = store.clone(); // no digest computed yet
         let root_before = store.root(); // forces digests (shared with snap)
-        store.insert(b"7".to_vec(), b"v2".to_vec());
+        store.insert(b"7", b"v2".to_vec());
         let root_after = store.root();
         assert_ne!(root_before, root_after);
         assert_eq!(snap_unforced.root(), root_before);
@@ -674,7 +740,7 @@ mod tests {
         let mut rebuilt = AuthKv::new();
         for i in 0..32u32 {
             let v: &[u8] = if i == 7 { b"v2" } else { b"v1" };
-            rebuilt.insert(i.to_string().into_bytes(), v.to_vec());
+            rebuilt.insert(i.to_string().as_bytes(), v.to_vec());
         }
         assert_eq!(rebuilt.root(), root_after);
     }
@@ -694,7 +760,7 @@ mod tests {
                     assert_eq!(store.remove(&key), reference.remove(&key));
                 } else {
                     assert_eq!(
-                        store.insert(key.clone(), value.clone()),
+                        store.insert(&key, value.clone()),
                         reference.insert(key, value)
                     );
                 }
@@ -718,7 +784,7 @@ mod tests {
             let probe = random_key(&mut rng, 6);
             let mut store = AuthKv::new();
             for (k, v) in &entries {
-                store.insert(k.clone(), v.clone());
+                store.insert(k, v.clone());
             }
             let root = store.root();
             for (k, v) in &entries {
@@ -742,11 +808,11 @@ mod tests {
             }
             let mut forward = AuthKv::new();
             for (k, v) in dedup.iter() {
-                forward.insert(k.clone(), v.clone());
+                forward.insert(k, v.clone());
             }
             let mut backward = AuthKv::new();
             for (k, v) in dedup.iter().rev() {
-                backward.insert(k.clone(), v.clone());
+                backward.insert(k, v.clone());
             }
             assert_eq!(forward.root(), backward.root());
         }
@@ -807,7 +873,7 @@ mod tests {
         } else {
             let value = random_value(rng, 12);
             assert_eq!(
-                store.insert_hashed(hash, key.clone(), value.clone()),
+                store.insert_hashed(hash, &key, value.clone()),
                 model.insert(hash, (key, value)).map(|(_, v)| v)
             );
         }
@@ -841,6 +907,44 @@ mod tests {
             store.root().to_hex(),
             "75f2994879b43e6baea5988e90acb82ff8f2b279dc8d8aca37576ae260976c99"
         );
+    }
+
+    #[test]
+    fn threads_hashing_one_unhashed_snapshot_agree() {
+        // Four threads race to fill the digest cells of one shared
+        // snapshot no one has hashed; each round's writes clear the cells
+        // on their paths, so every round races over fresh cells again.
+        let mut rng = SplitMix64::new(0x57);
+        let mut store = AuthKv::new();
+        let mut model = Model::new();
+        for round in 0..6 {
+            for _ in 0..300 {
+                let key = (rng.next_u64() % 1024).to_le_bytes();
+                let value = random_value(&mut rng, 24);
+                store.insert(&key, value.clone());
+                model.insert(*sha256(&key).as_bytes(), (key.to_vec(), value));
+            }
+            let snapshot = store.clone();
+            let expected = reference_root(&model);
+            let barrier = Barrier::new(4);
+            let roots: Vec<Digest> = thread::scope(|scope| {
+                let racers: Vec<_> = (0..4)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            snapshot.root()
+                        })
+                    })
+                    .collect();
+                racers
+                    .into_iter()
+                    .map(|racer| racer.join().expect("hashing thread panicked"))
+                    .collect()
+            });
+            assert_eq!(roots, vec![expected; 4], "round {round}");
+            // The writer shares the cells the racers filled.
+            assert_eq!(store.root(), expected, "round {round}");
+        }
     }
 
     #[test]
@@ -882,8 +986,8 @@ mod tests {
         assert_eq!(store.root(), reference_root(&model));
         assert_eq!(store.len(), model.len());
         assert_eq!(store_entries(&store), model_entries(&model));
-        for (hash, (key, value)) in &model {
-            assert_eq!(store.get_hashed(hash, key), Some(value.as_slice()));
+        for (key, value) in model.values() {
+            assert_eq!(store.get(key), Some(value.as_slice()));
         }
     }
 }
