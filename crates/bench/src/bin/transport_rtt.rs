@@ -1,9 +1,9 @@
 //! Raw transport round-trip: one frame each way between two
 //! `TcpTransport`s on loopback, no protocol on top. This isolates the
-//! wire path's per-frame cost — inline send syscall, reader-thread
-//! wakeup, inbound-channel handoff, poll-thread wakeup — from the
-//! consensus logic layered above it, so wire-path regressions show up
-//! without running a whole cluster.
+//! wire path's per-frame cost — the inline send syscall, then the
+//! receiving thread's wakeup from its epoll wait and one `read` — from
+//! the consensus logic layered above it, so wire-path regressions show
+//! up without running a whole cluster.
 //!
 //! Flags: `--rounds N` (default 20000), `--payload BYTES` (default 64).
 

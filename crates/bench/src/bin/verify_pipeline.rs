@@ -14,7 +14,6 @@
 //! (default `BENCH_verify_pipeline.json`), `--no-json`, `--smoke`
 //! (tiny run + sanity gate, for CI).
 
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -155,23 +154,24 @@ struct Point {
 }
 
 fn measure(frames: &[(usize, Vec<u8>)], threads: usize, verifier: Arc<SbftPreVerifier>) -> Point {
-    let (tx, rx) = sync_channel(4096);
     let pool: VerifyPool<SbftMsg> = VerifyPool::start(
-        rx,
         verifier,
         threads,
         sbft::transport::verify::VERIFY_BATCH,
-        sbft::transport::verify::VERIFY_QUEUE,
+        4096,
         &sbft::telemetry::Registry::new(),
+        None,
     );
     let started = Instant::now();
-    let feeder_frames: Vec<(usize, Vec<u8>)> = frames.to_vec();
-    let feeder = std::thread::spawn(move || {
-        for (peer, payload) in feeder_frames {
-            tx.send((peer, payload)).expect("pool alive");
-        }
-    });
+    // Screened here below two workers; queued for the workers (their
+    // releases drained as they come) otherwise.
     let mut released = 0usize;
+    for (peer, payload) in frames {
+        released += usize::from(pool.submit(*peer, payload).is_some());
+        while pool.try_recv().is_some() {
+            released += 1;
+        }
+    }
     while released < frames.len() {
         match pool.recv_timeout(Duration::from_secs(30)) {
             Some(_) => released += 1,
@@ -179,7 +179,6 @@ fn measure(frames: &[(usize, Vec<u8>)], threads: usize, verifier: Arc<SbftPreVer
         }
     }
     let elapsed = started.elapsed().as_secs_f64();
-    feeder.join().expect("feeder");
     let stats = pool.stats();
     assert_eq!(stats.verify_rejects, 0, "all frames are honest");
     assert_eq!(stats.decode_errors, 0);

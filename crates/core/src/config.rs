@@ -199,7 +199,7 @@ impl ProtocolConfig {
 
     fn pick_collectors(
         &self,
-        domain: &[u8],
+        domain: &[u8; 6],
         seq: SeqNum,
         view: ViewNum,
         count: usize,
@@ -207,15 +207,17 @@ impl ProtocolConfig {
         let n = self.n();
         let primary = self.primary(view).as_usize();
         // Deterministic pseudo-random permutation seeded by (domain, seq,
-        // view): hash-ranked selection over non-primary replicas.
+        // view): hash-ranked selection over non-primary replicas. Each
+        // candidate's material `domain ‖ seq ‖ view ‖ r` differs only in
+        // its last 8 bytes, so one stack array serves them all.
+        let mut material = [0u8; 30];
+        material[..6].copy_from_slice(domain);
+        material[6..14].copy_from_slice(&seq.get().to_le_bytes());
+        material[14..22].copy_from_slice(&view.get().to_le_bytes());
         let mut ranked: Vec<(Digest, usize)> = (0..n)
             .filter(|&r| r != primary)
             .map(|r| {
-                let mut material = Vec::with_capacity(domain.len() + 24);
-                material.extend_from_slice(domain);
-                material.extend_from_slice(&seq.get().to_le_bytes());
-                material.extend_from_slice(&view.get().to_le_bytes());
-                material.extend_from_slice(&(r as u64).to_le_bytes());
+                material[22..].copy_from_slice(&(r as u64).to_le_bytes());
                 (sha256(&material), r)
             })
             .collect();
@@ -231,6 +233,50 @@ impl ProtocolConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The C- and E-collector lists for seqs 1..=50 and views 0..=2 at
+    /// n = 4 and n = 13, pinned as a digest of every list (each as its
+    /// length, then its replica ids, one byte each): any change to the
+    /// ranking changes which replicas collect, on every deployment.
+    #[test]
+    fn collector_lists_are_pinned() {
+        for ((f, c), fingerprint, first_c, first_e) in [
+            (
+                (1, 0),
+                "2b36953cd5294fff336e6578504204f64d50a3f6ddc8b4dfc0950e5bd0668f23",
+                vec![1, 0],
+                vec![3],
+            ),
+            (
+                (2, 3),
+                "e80943148f34d90c36cc39768b640868c5699bb338768a57de22236c1a2ae35e",
+                vec![12, 10, 11, 6, 0],
+                vec![3, 2, 1, 8],
+            ),
+        ] {
+            let config = cfg(f, c);
+            let ids = |list: Vec<ReplicaId>| list.iter().map(|r| r.as_usize()).collect::<Vec<_>>();
+            let (s1, v0) = (SeqNum::new(1), ViewNum::new(0));
+            assert_eq!(ids(config.c_collectors(s1, v0)), first_c);
+            assert_eq!(ids(config.e_collectors(s1, v0)), first_e);
+            let mut material = Vec::new();
+            for seq in 1..=50 {
+                for view in 0..=2 {
+                    let (s, v) = (SeqNum::new(seq), ViewNum::new(view));
+                    for list in [config.c_collectors(s, v), config.e_collectors(s, v)] {
+                        material.push(list.len() as u8);
+                        material.extend(ids(list).into_iter().map(|r| r as u8));
+                    }
+                }
+            }
+            assert_eq!(
+                sha256(&material).to_hex(),
+                fingerprint,
+                "n = {}",
+                config.n()
+            );
+        }
+    }
 
     fn cfg(f: usize, c: usize) -> ProtocolConfig {
         ProtocolConfig::new(f, c, VariantFlags::SBFT)

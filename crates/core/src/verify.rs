@@ -384,6 +384,12 @@ impl InboundVerifier<SbftMsg> for SbftPreVerifier {
         SbftMsg::from_wire_bytes(payload).ok()
     }
 
+    fn verify(&self, item: &(NodeId, SbftMsg)) -> bool {
+        // One message: its shares are checked directly, with no batch
+        // to combine them into.
+        self.verify_one(&item.1, None, 0)
+    }
+
     fn verify_batch(&self, batch: &[(NodeId, SbftMsg)]) -> Vec<bool> {
         let mut out = Vec::with_capacity(batch.len());
         let mut deferred: Vec<(usize, ShareVerifyItem<'_>)> = Vec::new();
@@ -658,6 +664,11 @@ mod tests {
         let verdicts = verifier.verify_batch(&batch);
         for ((kind, ..), verdict) in cases.iter().zip(verdicts.chunks(2)) {
             assert_eq!(verdict, [true, false], "{kind}");
+        }
+        // One message at a time (the TCP node thread's path) agrees.
+        for (kind, good, forged) in &cases {
+            let one = |msg: &SbftMsg| verifier.verify(&(1, msg.clone()));
+            assert_eq!((one(good), one(forged)), (true, false), "{kind}");
         }
     }
 

@@ -233,8 +233,9 @@ impl<'a, M> Context<'a, M> {
 /// that need node state (e.g. a signature over a block digest only the
 /// replica's log knows) stay in the node's handlers. The simulator calls
 /// [`InboundVerifier::verify_batch`] on each delivery; the TCP runtime
-/// also decodes raw `(from, payload)` frames with it, on the node thread
-/// or on a pool of worker threads.
+/// also decodes raw `(from, payload)` frames with it, and checks them
+/// one at a time with [`InboundVerifier::verify`] on the node thread or
+/// in batches on a pool of worker threads.
 ///
 /// Implementations must be thread-safe: one verifier instance is shared
 /// by every worker in a pool.
@@ -250,6 +251,12 @@ pub trait InboundVerifier<M>: Send + Sync + 'static {
     /// (transport-only deployments with no protocol checks).
     fn verify_batch(&self, batch: &[(NodeId, M)]) -> Vec<bool> {
         vec![true; batch.len()]
+    }
+
+    /// Verifies one decoded message: the verdict `verify_batch` gives it
+    /// alone. Override to skip the batch machinery's allocations.
+    fn verify(&self, item: &(NodeId, M)) -> bool {
+        self.verify_batch(std::slice::from_ref(item)).first() == Some(&true)
     }
 }
 

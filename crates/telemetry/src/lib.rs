@@ -1,10 +1,10 @@
 //! Zero-dependency observability core for the SBFT reproduction.
 //!
-//! Every thread in a running node — the `!Send` node thread, the TCP
-//! reader/flusher threads, the VerifyPool workers — shares one
-//! [`Registry`] of metrics. Registration (name → handle) takes a mutex
-//! once, on the cold path; the handles themselves are `Arc`-wrapped
-//! atomics, so the hot paths never lock:
+//! Every thread in a running node — the `!Send` node thread with its
+//! socket loop, the transport's dial threads, the VerifyPool workers —
+//! shares one [`Registry`] of metrics. Registration (name → handle)
+//! takes a mutex once, on the cold path; the handles themselves are
+//! `Arc`-wrapped atomics, so the hot paths never lock:
 //!
 //! - [`Counter`]: monotone `u64` (relaxed `fetch_add`).
 //! - [`Gauge`]: signed level (`store`), e.g. queue depths.

@@ -23,8 +23,8 @@
 //! `profile` selects a named tuning bundle for the whole cluster:
 //! `lan` (the default) keeps aggressive reconnects and tight protocol
 //! timers for loopback/datacenter deployments; `wan` raises reconnect
-//! backoff, connect timeouts, queue depths, and coalescing budgets on
-//! the transport, and stretches the protocol's fast-path/view timers to
+//! backoff, connect timeouts, queue depths, and buffer sizes on the
+//! transport, and stretches the protocol's fast-path/view timers to
 //! continental round-trip scale.
 //!
 //! Node ids follow the simulator's numbering: replicas are `0..n`,
@@ -71,7 +71,7 @@ pub enum TransportProfile {
     #[default]
     Lan,
     /// Continental round-trips: patient reconnects, deep queues, large
-    /// coalescing budgets, stretched protocol timeouts.
+    /// buffers, stretched protocol timeouts.
     Wan,
 }
 
@@ -433,7 +433,7 @@ impl ClusterSpec {
 
     /// The profile-tuned [`TransportConfig`] for `me`: peer table from
     /// [`Self::peers_for`], knobs (reconnect cadence, queue depths,
-    /// coalescing budgets) from [`Self::profile`].
+    /// buffer sizes) from [`Self::profile`].
     pub fn transport_config(&self, me: NodeId) -> TransportConfig {
         let peers = self.peers_for(me);
         let mut config = match self.profile {
@@ -530,7 +530,7 @@ mod tests {
         assert!(wan.reconnect_base > lan.reconnect_base);
         assert!(wan.connect_timeout > lan.connect_timeout);
         assert!(wan.outbound_queue > lan.outbound_queue);
-        assert!(wan.coalesce_budget > lan.coalesce_budget);
+        assert!(wan.read_buffer > lan.read_buffer);
         let e = ClusterSpec::parse("profile metro\nf 0\nreplica 0 a:1\n").unwrap_err();
         assert!(e.message.contains("unknown profile"), "{e}");
     }

@@ -68,21 +68,66 @@ pub fn framed_len(payload: &[u8]) -> usize {
     FRAME_HEADER_BYTES + payload.len()
 }
 
-/// Appends one frame (header + payload) to `buf` without touching a
-/// socket; returns the exact framed byte count appended. This is the
-/// building block of coalesced writes: encode many frames into one
-/// buffer, then hit the socket once.
+/// Appends one frame to `buf` whose payload `encode` appends in place:
+/// a header placeholder, the payload, then the header patched with the
+/// payload's length, so the payload is never copied. Returns the exact
+/// framed byte count appended.
 ///
 /// # Errors
 ///
 /// Rejects payloads over `u32::MAX` bytes as
-/// [`io::ErrorKind::InvalidInput`] (nothing is appended in that case).
+/// [`io::ErrorKind::InvalidInput`] (`buf` is truncated back in that
+/// case).
+pub fn encode_frame_with(
+    buf: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<usize> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
+    encode(buf);
+    let framed = buf.len() - start;
+    let Ok(len) = u32::try_from(framed - FRAME_HEADER_BYTES) else {
+        buf.truncate(start);
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "frame exceeds u32 length",
+        ));
+    };
+    buf[start..start + FRAME_HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+    Ok(framed)
+}
+
+/// Appends one frame (header + payload) to `buf` without touching a
+/// socket; returns the exact framed byte count appended.
+///
+/// # Errors
+///
+/// As [`encode_frame_with`].
 pub fn encode_frame_into(buf: &mut Vec<u8>, payload: &[u8]) -> io::Result<usize> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(payload);
-    Ok(framed_len(payload))
+    encode_frame_with(buf, |buf| buf.extend_from_slice(payload))
+}
+
+/// The framed size (header included) of the frame whose header opens
+/// `bytes`; `Ok(None)` while fewer than [`FRAME_HEADER_BYTES`] are
+/// there.
+///
+/// # Errors
+///
+/// A length prefix over `max_frame` is [`io::ErrorKind::InvalidData`],
+/// reported before anything is allocated for it (a corrupt or hostile
+/// prefix must not make us allocate unboundedly).
+pub fn frame_len(bytes: &[u8], max_frame: usize) -> io::Result<Option<usize>> {
+    let Some(header) = bytes.first_chunk::<FRAME_HEADER_BYTES>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*header) as usize;
+    if len > max_frame {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame of {len} bytes exceeds cap of {max_frame}"),
+        ));
+    }
+    Ok(Some(FRAME_HEADER_BYTES + len))
 }
 
 /// Writes one frame; returns the exact byte count put on the wire.
@@ -97,29 +142,6 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<usize> {
     w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)?;
     Ok(framed_len(payload))
-}
-
-/// Encodes every payload into `scratch` and writes the lot with a single
-/// `write_all` — many frames, one syscall. Frame order is preserved, and
-/// the returned byte count is exactly `Σ framed_len(payload)`, so byte
-/// accounting is identical to calling [`write_frame`] per payload.
-///
-/// # Errors
-///
-/// Propagates I/O errors; rejects any payload over `u32::MAX` bytes as
-/// [`io::ErrorKind::InvalidInput`] *before* writing anything.
-pub fn write_frames<W, P>(w: &mut W, payloads: &[P], scratch: &mut Vec<u8>) -> io::Result<usize>
-where
-    W: Write,
-    P: AsRef<[u8]>,
-{
-    scratch.clear();
-    let mut total = 0;
-    for payload in payloads {
-        total += encode_frame_into(scratch, payload.as_ref())?;
-    }
-    w.write_all(scratch)?;
-    Ok(total)
 }
 
 /// Reads one frame. Returns `Ok(None)` on a clean end-of-stream (the peer
@@ -147,13 +169,7 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> io::Result<Option<Vec<
         }
         filled += n;
     }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > max_frame {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds cap of {max_frame}"),
-        ));
-    }
+    let len = frame_len(&header, max_frame)?.expect("a whole header") - FRAME_HEADER_BYTES;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
@@ -232,17 +248,9 @@ impl<R: Read> FrameReader<R> {
         if !self.ensure(FRAME_HEADER_BYTES, true)? {
             return Ok(None);
         }
-        let header: [u8; FRAME_HEADER_BYTES] = self.buf
-            [self.start..self.start + FRAME_HEADER_BYTES]
-            .try_into()
-            .expect("header slice is FRAME_HEADER_BYTES long");
-        let len = u32::from_le_bytes(header) as usize;
-        if len > self.max_frame {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame of {len} bytes exceeds cap of {}", self.max_frame),
-            ));
-        }
+        let len = frame_len(&self.buf[self.start..self.end], self.max_frame)?
+            .expect("a whole header is buffered")
+            - FRAME_HEADER_BYTES;
         self.start += FRAME_HEADER_BYTES;
         if len <= self.buf.len() {
             self.ensure(len, false)?;
@@ -395,7 +403,7 @@ mod tests {
     fn batched_frames_round_trip_through_split_reads() {
         // Random frame-size sequences: empty frames, tiny frames, frames
         // larger than the reader's buffer (exercising the direct-read
-        // fallback), in random order, written as coalesced batches.
+        // fallback), in random order.
         for seed in 0..8u64 {
             let mut rng = 0x5bf7_0000 ^ seed;
             let mut payloads: Vec<Vec<u8>> = Vec::new();
@@ -410,19 +418,14 @@ mod tests {
                 payloads.push((0..len).map(|_| splitmix(&mut rng) as u8).collect());
             }
 
-            // Write in coalesced batches of random sizes.
+            // Frame them back to back into one buffer.
             let mut wire = Vec::new();
-            let mut scratch = Vec::new();
             let mut written = 0;
-            let mut i = 0;
-            while i < payloads.len() {
-                let batch = 1 + (splitmix(&mut rng) % 7) as usize;
-                let end = (i + batch).min(payloads.len());
-                written += write_frames(&mut wire, &payloads[i..end], &mut scratch).unwrap();
-                i = end;
+            for payload in &payloads {
+                written += encode_frame_into(&mut wire, payload).unwrap();
             }
             let expected: usize = payloads.iter().map(|p| framed_len(p)).sum();
-            assert_eq!(written, expected, "batched accounting is exact");
+            assert_eq!(written, expected, "accounting is exact");
             assert_eq!(wire.len(), expected, "accounting matches the wire");
 
             // Read back through a buffer smaller than the biggest frame,

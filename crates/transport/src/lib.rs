@@ -8,22 +8,26 @@
 //!
 //! - [`frame`]: length-prefixed framing over the [`sbft_wire`] codec,
 //!   with exact byte accounting and a connection [`Handshake`].
-//! - [`TcpTransport`]: a std-only TCP mesh (`std::net` + threads +
-//!   channels — the workspace is intentionally dependency-free) with
-//!   per-peer outbound queues, automatic reconnect with exponential
-//!   backoff, sever/stat controls, and counters mirroring the
-//!   simulator's [`sbft_sim::Metrics`] labels.
+//! - [`TcpTransport`]: a TCP mesh on `std::net` and one epoll loop per
+//!   node (the workspace is intentionally dependency-free, so the two
+//!   Linux calls `std` lacks are declared in one small FFI module). The
+//!   node thread owns its sockets: it reads every ready socket once per
+//!   pass and writes sends inline, with bounded per-peer backlogs,
+//!   automatic reconnect with exponential backoff, sever/stat controls,
+//!   and counters mirroring the simulator's [`sbft_sim::Metrics`]
+//!   labels. Linux only.
 //! - [`NodeRuntime`]: adapts the sim's `Context`/timer API to wall-clock
 //!   deadlines so `ReplicaNode`, `ClientNode` and the PBFT baseline run
-//!   unchanged over real sockets.
+//!   unchanged over real sockets, passing every inbound frame through
+//!   the node's verifier in a [`VerifyPool`].
 //!
 //! [`ClusterSpec`] is the plain-text cluster config the `sbft-node`
 //! binary consumes; see the repository README ("Running a real cluster").
 //!
 //! # Examples
 //!
-//! Two runtimes on loopback (in-process; a real deployment runs one
-//! process per node):
+//! Two bare transports on loopback (in-process; a real deployment runs
+//! one process per node). Receiving runs the receiver's event loop:
 //!
 //! ```
 //! use sbft_transport::{TcpTransport, TransportConfig};
@@ -44,16 +48,18 @@
 pub mod config;
 pub mod frame;
 pub mod runtime;
+mod sys;
 pub mod tcp;
 pub mod verify;
 
 pub use config::{ClusterSpec, ConfigError, TransportProfile, VariantName};
 pub use frame::{
-    encode_frame_into, framed_len, read_frame, read_msg, write_frame, write_frames, write_msg,
-    FrameReader, Handshake, DEFAULT_MAX_FRAME, FRAME_HEADER_BYTES,
+    encode_frame_into, encode_frame_with, frame_len, framed_len, read_frame, read_msg, write_frame,
+    write_msg, FrameReader, Handshake, DEFAULT_MAX_FRAME, FRAME_HEADER_BYTES,
 };
 pub use runtime::NodeRuntime;
 pub use tcp::{
     AliasRoute, InboundInjector, TcpTransport, TransportConfig, TransportControl, TransportStats,
+    Waker,
 };
 pub use verify::{VerifyPool, VerifyPoolStats};

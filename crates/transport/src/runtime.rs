@@ -10,14 +10,16 @@
 //! bar for this subsystem.
 //!
 //! Single-threaded by design: the node is `!Send`, so the runtime loops
-//! on the caller's thread, alternating between due timers and inbound
-//! frames. Per-process parallelism comes from running one process (or
+//! on the caller's thread, alternating between due timers and one pass
+//! of the transport's event loop, which waits until the next timer is
+//! due. Per-process parallelism comes from running one process (or
 //! thread) per node, as a real deployment would.
 //!
 //! Every inbound frame passes the node's trust boundary
 //! ([`Node::inbound_verifier`]) in a [`VerifyPool`] before its handler
-//! runs: on the node thread at verify width ≤ 1, on worker threads at 2
-//! or more. Self-sends loop back without it.
+//! runs: on the node thread at verify width ≤ 1, straight from the
+//! transport's read buffer, or on worker threads at 2 or more, whose
+//! releases wake the loop. Self-sends loop back without it.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -28,6 +30,7 @@ use sbft_sim::{Context, InboundVerifier, Metrics, Node, NodeId, SimMessage, SimR
 use sbft_telemetry::{Counter, Registry};
 use sbft_wire::Wire;
 
+use crate::frame::FRAME_HEADER_BYTES;
 use crate::tcp::TcpTransport;
 use crate::verify::{VerifyPool, VerifyPoolStats, VERIFY_BATCH, VERIFY_QUEUE};
 
@@ -44,9 +47,14 @@ impl<M: Wire> InboundVerifier<M> for DecodeOnly {
 pub struct NodeRuntime<M: SimMessage + Wire> {
     node: Box<dyn Node<M>>,
     transport: TcpTransport,
-    /// Decoded messages from other nodes that passed the node's
-    /// verifier, in per-peer FIFO order.
+    /// The node's trust boundary: every frame from another node passes
+    /// it on the way in.
     inbound: VerifyPool<M>,
+    /// Messages that passed `inbound` in the last pass, in per-peer FIFO
+    /// order, waiting for their handler.
+    ready: VecDeque<(NodeId, M)>,
+    /// Reused buffer that sizes self-sends.
+    scratch: Vec<u8>,
     rng: SimRng,
     metrics: Metrics,
     next_timer_id: u64,
@@ -60,7 +68,7 @@ pub struct NodeRuntime<M: SimMessage + Wire> {
     live: HashSet<u64>,
     cancelled: HashSet<u64>,
     /// Self-sends and other locally-deliverable messages, processed
-    /// before touching the socket channel.
+    /// before the next pass of the transport's loop.
     loopback: VecDeque<(NodeId, M)>,
     start: Instant,
     started: bool,
@@ -96,7 +104,7 @@ impl<M: SimMessage + Wire + Send> NodeRuntime<M> {
     /// below 2 the node thread does the same checks itself.
     pub fn with_verify_pool(
         node: Box<dyn Node<M>>,
-        mut transport: TcpTransport,
+        transport: TcpTransport,
         seed: u64,
         threads: usize,
     ) -> Self {
@@ -105,17 +113,19 @@ impl<M: SimMessage + Wire + Send> NodeRuntime<M> {
             .inbound_verifier()
             .unwrap_or_else(|| Arc::new(DecodeOnly));
         let inbound = VerifyPool::start(
-            transport.take_inbound(),
             verifier,
             threads,
             VERIFY_BATCH,
             VERIFY_QUEUE,
             &registry,
+            Some(transport.waker()),
         );
         NodeRuntime {
             node,
             transport,
             inbound,
+            ready: VecDeque::new(),
+            scratch: Vec::new(),
             rng: SimRng::new(seed),
             metrics: Metrics::new(false),
             next_timer_id: 0,
@@ -265,16 +275,21 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
         self.events += 1;
         for (to, msg) in effects.sends {
             if to == node_id {
-                self.metrics
-                    .note_send(now, node_id, to, msg.label(), msg.wire_size());
+                self.scratch.clear();
+                let size = msg.encode_into(&mut self.scratch);
+                self.metrics.note_send(now, node_id, to, msg.label(), size);
                 // Skip the socket round-trip; order is still FIFO.
                 self.loopback.push_back((to, msg));
             } else {
-                // Encode once: the bytes both size the send and go out.
-                let payload = msg.to_wire_bytes();
-                self.metrics
-                    .note_send(now, node_id, to, msg.label(), payload.len());
-                self.transport.send(to, payload);
+                // Encoded once, straight into the peer's frame buffer.
+                let framed = self.transport.send_msg(to, &msg);
+                self.metrics.note_send(
+                    now,
+                    node_id,
+                    to,
+                    msg.label(),
+                    framed.saturating_sub(FRAME_HEADER_BYTES),
+                );
             }
         }
         for (id, at, token) in effects.timers {
@@ -327,20 +342,16 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
         }
     }
 
-    /// Cap on frames drained per blocking wakeup, so a firehose of
-    /// inbound traffic cannot starve due timers (and loopback sends) for
-    /// more than one bounded batch.
-    const DRAIN_BATCH: u64 = 1024;
-
     /// Processes events (timers, loopback, inbound frames) for up to
     /// `budget` of wall time, then returns. Call in a loop and inspect
     /// the node between calls — the real-socket analogue of
     /// `Simulation::run_for`. Returns events processed during the call.
     ///
-    /// Inbound frames are drained in batches: one blocking wait per
-    /// *batch* of ready frames (up to `DRAIN_BATCH`), not per
-    /// frame, so under load the channel-wakeup cost amortizes across
-    /// everything that has already arrived.
+    /// Each pass of the transport's loop waits until the next timer is
+    /// due (or the budget ends), reads every ready socket once, and
+    /// screens what it read; the messages that pass are handled before
+    /// timers are checked again, so a firehose of inbound traffic delays
+    /// due timers by at most one pass.
     pub fn poll(&mut self, budget: Duration) -> u64 {
         self.start();
         let before = self.events;
@@ -371,22 +382,18 @@ impl<M: SimMessage + Wire> NodeRuntime<M> {
                 let until_timer = Duration::from_nanos(at_ns.saturating_sub(self.now().as_nanos()));
                 wait = wait.min(until_timer);
             }
-            // Zero-duration waits still poll the channel once.
-            let wait = wait.max(Duration::from_micros(100));
-            if let Some((from, msg)) = self.inbound.recv_timeout(wait) {
+            if !self.loopback.is_empty() {
+                wait = Duration::ZERO; // a timer handler sent to itself
+            }
+            let (inbound, ready) = (&self.inbound, &mut self.ready);
+            self.transport.pump(wait, &mut |from, payload| {
+                ready.extend(inbound.submit(from, payload).map(|msg| (from, msg)));
+            });
+            while let Some(released) = self.inbound.try_recv() {
+                self.ready.push_back(released);
+            }
+            while let Some((from, msg)) = self.ready.pop_front() {
                 self.dispatch(|node, ctx| node.on_message(from, msg, ctx));
-                // Batch-drain whatever else is already ready before
-                // going back around to timers.
-                let mut drained = 1;
-                while drained < Self::DRAIN_BATCH {
-                    match self.inbound.try_recv() {
-                        Some((from, msg)) => {
-                            self.dispatch(|node, ctx| node.on_message(from, msg, ctx));
-                            drained += 1;
-                        }
-                        None => break,
-                    }
-                }
             }
         }
         self.mirror_metrics();
@@ -653,6 +660,66 @@ mod tests {
         );
         assert_eq!(rt.pending_cancels(), 0, "marker drains with the timer");
         assert_eq!(rt.pending_timers(), 0);
+    }
+
+    /// Records when the injected ping arrives; tells the injecting
+    /// thread to go once the runtime's poll has started.
+    struct Waiter {
+        go: Option<std::sync::mpsc::Sender<()>>,
+        heard: Option<(u64, Instant)>,
+    }
+
+    impl Node<Ping> for Waiter {
+        sbft_sim::impl_node_any!();
+
+        fn on_start(&mut self, _ctx: &mut Context<'_, Ping>) {
+            let go = self.go.take().expect("started once");
+            go.send(()).expect("injecting thread waits");
+        }
+
+        fn on_message(&mut self, _from: NodeId, msg: Ping, _ctx: &mut Context<'_, Ping>) {
+            self.heard = Some((msg.0, Instant::now()));
+        }
+    }
+
+    /// A frame injected from another thread wakes a runtime parked in a
+    /// long poll with no timers and no traffic — at verify width 2 the
+    /// workers' release must wake it a second time.
+    #[test]
+    fn injected_frame_wakes_a_parked_poll() {
+        const BUDGET: Duration = Duration::from_secs(2);
+        for width in [1, 2] {
+            let l = TcpListener::bind("127.0.0.1:0").unwrap();
+            let transport =
+                TcpTransport::with_listener(TransportConfig::new(6, vec![]), l).unwrap();
+            let injector = transport.self_injector();
+            let (go_tx, go_rx) = std::sync::mpsc::channel();
+            let injecting = std::thread::spawn(move || {
+                go_rx.recv().expect("runtime starts");
+                let at = Instant::now();
+                assert!(injector.inject(Ping(42).to_wire_bytes()));
+                at
+            });
+            let waiter = Waiter {
+                go: Some(go_tx),
+                heard: None,
+            };
+            let mut rt = NodeRuntime::with_verify_pool(Box::new(waiter), transport, 0, width);
+            rt.poll(BUDGET);
+            let injected_at = injecting.join().expect("injecting thread");
+            let (value, heard_at) = rt
+                .node_as::<Waiter>()
+                .unwrap()
+                .heard
+                .unwrap_or_else(|| panic!("width {width}: nothing woke the poll"));
+            assert_eq!(value, 42);
+            assert!(
+                heard_at.duration_since(injected_at) < BUDGET / 4,
+                "width {width}: delivered {:?} after the injection",
+                heard_at.duration_since(injected_at)
+            );
+            assert_eq!(rt.verify_threads(), if width == 2 { 2 } else { 0 });
+        }
     }
 
     #[test]

@@ -3,18 +3,18 @@
 //! [`sbft_sim::InboundVerifier`] before the node sees it.
 //!
 //! A [`VerifyPool`] with fewer than two workers spawns no threads: the
-//! node thread screens each frame itself as it receives it. With two or
-//! more, worker threads sit between the
-//! [`crate::TcpTransport`]'s frame channel and the node's single-threaded
-//! runtime. The sans-IO nodes are `!Send` by design, so the node thread
-//! cannot be parallelized — but the expensive *stateless* per-message
-//! work (frame decode, client-signature checks, share verification over
-//! carried digests) can leave it. Workers drain raw `(from, payload)`
-//! frames in small batches, decode them, hand the batch to the shared
-//! verifier (which can amortize — e.g. one random-linear-combination
-//! pairing check over every signature share in the batch), and release
-//! the survivors to the node. Both widths count into the same
-//! `sbft_verify_*` counters.
+//! node thread decodes each frame straight from the transport's read
+//! buffer and verifies that one message. With two or more, worker
+//! threads take copies of the raw frames from the node thread. The
+//! sans-IO nodes are `!Send` by design, so the node thread cannot be
+//! parallelized — but the expensive *stateless* per-message work (frame
+//! decode, client-signature checks, share verification over carried
+//! digests) can leave it. Workers drain raw `(from, payload)` frames in
+//! small batches, decode them, hand the batch to the shared verifier
+//! (which can amortize — e.g. one random-linear-combination pairing
+//! check over every signature share in the batch), release the
+//! survivors into a channel, and wake the node's loop. Both widths count
+//! into the same `sbft_verify_*` counters.
 //!
 //! Ordering: the protocol assumes per-peer FIFO delivery (TCP gives it,
 //! and the discrete-event simulator models it), so the pool must not let
@@ -29,18 +29,20 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sbft_sim::{InboundVerifier, NodeId};
 use sbft_telemetry::{Counter, Registry};
 
+use crate::tcp::Waker;
+
 /// Frames one screening pass claims — the amortization unit for the
 /// batched (random-linear-combination) share checks.
 pub const VERIFY_BATCH: usize = 32;
-/// Bound on a worker pool's verified-output queue.
+/// Bound on frames queued for a worker pool.
 pub const VERIFY_QUEUE: usize = 16_384;
 
 /// How long a worker blocks on the intake channel before re-checking the
@@ -50,7 +52,7 @@ const INTAKE_TICK: Duration = Duration::from_millis(50);
 /// Counter snapshot for one pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyPoolStats {
-    /// Frames pulled off the transport channel.
+    /// Frames taken from the transport.
     pub frames_in: u64,
     /// Frames that failed to decode.
     pub decode_errors: u64,
@@ -85,7 +87,7 @@ impl Counters {
     }
 }
 
-/// A verifier panic, carried out of [`screen`] to be re-raised.
+/// A verifier panic, carried out of [`screen_batch`] to be re-raised.
 type Panic = Box<dyn Any + Send>;
 
 /// Screens one batch of frames: decodes each, verifies the decoded ones
@@ -97,7 +99,7 @@ type Panic = Box<dyn Any + Send>;
 /// decode_errors + verify_rejects + released` stays exact — and the
 /// panic is handed back for the caller to re-raise once its own
 /// bookkeeping is settled.
-fn screen<M: 'static>(
+fn screen_batch<M: 'static>(
     verifier: &dyn InboundVerifier<M>,
     counters: &Counters,
     frames: &[(NodeId, Vec<u8>)],
@@ -175,97 +177,95 @@ struct Reorder<M> {
     peers: HashMap<NodeId, PeerReorder<M>>,
 }
 
-/// Where screening happens.
-enum Stage<M> {
-    /// No workers: the consuming thread screens each frame as it
-    /// receives it.
-    Inline {
-        rx: Receiver<(NodeId, Vec<u8>)>,
-        verifier: Arc<dyn InboundVerifier<M>>,
-    },
-    /// Worker threads screen frames and release them, per-peer FIFO,
-    /// into `out_rx`.
-    Workers {
-        out_rx: Option<Receiver<(NodeId, M)>>,
-        shutdown: Arc<AtomicBool>,
-        workers: Vec<thread::JoinHandle<()>>,
-    },
+/// The worker threads of a pool of width two or more.
+struct Workers<M> {
+    /// Raw frames for the workers; `None` once the pool shuts down.
+    intake: Option<SyncSender<(NodeId, Vec<u8>)>>,
+    /// Verified messages, per-peer FIFO.
+    released: Receiver<(NodeId, M)>,
+    shutdown: Arc<AtomicBool>,
+    handles: Vec<thread::JoinHandle<()>>,
 }
 
 /// The verification stage between the transport and the node. Construct
-/// with [`VerifyPool::start`], consume with [`VerifyPool::recv_timeout`]
-/// / [`VerifyPool::try_recv`] from the node thread.
+/// with [`VerifyPool::start`], feed each frame to [`VerifyPool::submit`]
+/// on the node thread, and take worker releases with
+/// [`VerifyPool::try_recv`].
 pub struct VerifyPool<M> {
     counters: Arc<Counters>,
-    threads: usize,
-    stage: Stage<M>,
+    verifier: Arc<dyn InboundVerifier<M>>,
+    /// `None` when the node thread screens each frame itself.
+    workers: Option<Workers<M>>,
 }
 
 impl<M: Send + 'static> VerifyPool<M> {
-    /// Screens `inbound` (the receiver moved out of a transport with
-    /// `TcpTransport::take_inbound`) through `verifier`. With `threads <
-    /// 2` nothing is spawned and the receiving thread screens frames
-    /// itself; otherwise `threads` workers do. `batch` caps how many
-    /// ready frames a worker claims per pass — the amortization unit for
-    /// batched verification. `queue` bounds the workers' verified-output
-    /// channel (backpressure onto the workers, and from there onto the
-    /// kernel's TCP buffers). Counters register into `registry` — pass
-    /// the transport's, so one exposition covers the whole node.
+    /// Screens frames through `verifier`. With `threads < 2` nothing is
+    /// spawned and [`VerifyPool::submit`] screens on the calling thread;
+    /// otherwise `threads` workers do. `batch` caps how many queued
+    /// frames a worker claims per pass — the amortization unit for
+    /// batched verification. `queue` bounds the frames waiting for the
+    /// workers (a full queue blocks `submit`, which stops the node
+    /// reading its sockets and backpressures into the kernel's TCP
+    /// buffers). After each release the workers call `wake`, if given
+    /// (the node runtime passes its transport's, so releases rouse its
+    /// loop). Counters register into `registry` — pass the transport's,
+    /// so one exposition covers the whole node.
     pub fn start(
-        inbound: Receiver<(NodeId, Vec<u8>)>,
         verifier: Arc<dyn InboundVerifier<M>>,
         threads: usize,
         batch: usize,
         queue: usize,
         registry: &Registry,
+        wake: Option<Waker>,
     ) -> VerifyPool<M> {
         assert!(batch >= 1, "batch must be at least 1");
         let counters = Arc::new(Counters::register(registry));
         if threads < 2 {
             return VerifyPool {
                 counters,
-                threads: 0,
-                stage: Stage::Inline {
-                    rx: inbound,
-                    verifier,
-                },
+                verifier,
+                workers: None,
             };
         }
-        let (out_tx, out_rx) = mpsc::sync_channel(queue.max(1));
+        let (intake_tx, intake_rx) = mpsc::sync_channel(queue.max(1));
+        // Unbounded: workers never block on the node, so a node blocked
+        // on a full intake can always make progress.
+        let (out_tx, released) = mpsc::channel();
         let shutdown = Arc::new(AtomicBool::new(false));
         let intake = Arc::new(Mutex::new(Intake {
-            rx: inbound,
+            rx: intake_rx,
             next_token: HashMap::new(),
         }));
         let reorder = Arc::new(Mutex::new(Reorder {
             peers: HashMap::new(),
         }));
-        let workers = (0..threads)
+        let handles = (0..threads)
             .map(|w| {
-                let intake = Arc::clone(&intake);
-                let reorder = Arc::clone(&reorder);
-                let verifier = Arc::clone(&verifier);
-                let shutdown = Arc::clone(&shutdown);
-                let counters = Arc::clone(&counters);
-                let out_tx = out_tx.clone();
+                let worker = Worker {
+                    intake: Arc::clone(&intake),
+                    reorder: Arc::clone(&reorder),
+                    verifier: Arc::clone(&verifier),
+                    shutdown: Arc::clone(&shutdown),
+                    counters: Arc::clone(&counters),
+                    out: out_tx.clone(),
+                    wake: wake.clone(),
+                    batch,
+                };
                 thread::Builder::new()
                     .name(format!("sbft-verify-{w}"))
-                    .spawn(move || {
-                        worker_loop(
-                            &intake, &reorder, &*verifier, &shutdown, &counters, &out_tx, batch,
-                        )
-                    })
+                    .spawn(move || worker.run())
                     .expect("spawn verify worker")
             })
             .collect();
         VerifyPool {
             counters,
-            threads,
-            stage: Stage::Workers {
-                out_rx: Some(out_rx),
+            verifier,
+            workers: Some(Workers {
+                intake: Some(intake_tx),
+                released,
                 shutdown,
-                workers,
-            },
+                handles,
+            }),
         }
     }
 }
@@ -273,36 +273,57 @@ impl<M: Send + 'static> VerifyPool<M> {
 impl<M: 'static> VerifyPool<M> {
     /// Number of worker threads (0 when the node thread screens).
     pub fn threads(&self) -> usize {
-        self.threads
+        self.workers.as_ref().map_or(0, |w| w.handles.len())
     }
 
-    /// Receives the next verified message, waiting at most `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<(NodeId, M)> {
-        self.recv(Some((Instant::now(), timeout)))
-    }
-
-    /// Non-blocking receive of a verified message.
-    pub fn try_recv(&self) -> Option<(NodeId, M)> {
-        self.recv(None)
-    }
-
-    /// Receives within `wait = (start, timeout)` (`None`: only what is
-    /// already queued).
-    fn recv(&self, wait: Option<(Instant, Duration)>) -> Option<(NodeId, M)> {
-        match &self.stage {
-            Stage::Workers { out_rx, .. } => pull(out_rx.as_ref()?, wait),
-            Stage::Inline { rx, verifier } => loop {
-                let frame = pull(rx, wait)?;
-                let (outcome, poisoned) =
-                    screen(&**verifier, &self.counters, std::slice::from_ref(&frame));
-                if let Some(panic) = poisoned {
-                    panic::resume_unwind(panic);
-                }
-                if let Some(Some(msg)) = outcome.into_iter().next() {
-                    return Some((frame.0, msg));
-                }
-            },
+    /// Takes one frame from `from`. Without workers, decodes it from
+    /// `payload` in place and verifies it on the calling thread,
+    /// returning the message if it passed. With workers, queues a copy
+    /// for them and returns `None`; the message comes out of
+    /// [`VerifyPool::try_recv`] once released.
+    ///
+    /// A panicking verifier is counted as a reject, then re-raised.
+    pub fn submit(&self, from: NodeId, payload: &[u8]) -> Option<M> {
+        if let Some(workers) = &self.workers {
+            if let Some(intake) = &workers.intake {
+                let _ = intake.send((from, payload.to_vec()));
+            }
+            return None;
         }
+        let counters = &self.counters;
+        counters.frames_in.inc();
+        counters.batches.inc();
+        let Some(msg) = self.verifier.decode(payload) else {
+            counters.decode_errors.inc();
+            return None;
+        };
+        let item = (from, msg);
+        match panic::catch_unwind(AssertUnwindSafe(|| self.verifier.verify(&item))) {
+            Ok(true) => {
+                counters.released.inc();
+                Some(item.1)
+            }
+            Ok(false) => {
+                counters.verify_rejects.inc();
+                None
+            }
+            Err(panic) => {
+                counters.verify_rejects.inc();
+                panic::resume_unwind(panic)
+            }
+        }
+    }
+
+    /// A message the workers released, if one is waiting (never, below
+    /// two workers).
+    pub fn try_recv(&self) -> Option<(NodeId, M)> {
+        self.workers.as_ref()?.released.try_recv().ok()
+    }
+
+    /// Waits at most `timeout` for a message the workers release
+    /// (`None` at once below two workers).
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<(NodeId, M)> {
+        self.workers.as_ref()?.released.recv_timeout(timeout).ok()
     }
 
     /// Counter snapshot.
@@ -319,112 +340,107 @@ impl<M: 'static> VerifyPool<M> {
 
 impl<M> Drop for VerifyPool<M> {
     fn drop(&mut self) {
-        let Stage::Workers {
-            out_rx,
-            shutdown,
-            workers,
-        } = &mut self.stage
-        else {
+        let Some(workers) = &mut self.workers else {
             return;
         };
-        shutdown.store(true, Ordering::Release);
-        // Dropping the receiver first errors out any worker blocked on a
-        // full output queue; the rest notice the flag within one tick.
-        out_rx.take();
-        for worker in workers.drain(..) {
+        workers.shutdown.store(true, Ordering::Release);
+        // Closing the intake ends every worker's wait at once; the rest
+        // notice the flag within one tick.
+        workers.intake.take();
+        for worker in workers.handles.drain(..) {
             let _ = worker.join();
         }
     }
 }
 
-/// Receives from `rx` within what is left of `timeout` since `start`
-/// (`None`: only what is already queued).
-fn pull<T>(rx: &Receiver<T>, wait: Option<(Instant, Duration)>) -> Option<T> {
-    match wait {
-        Some((start, timeout)) => rx
-            .recv_timeout(timeout.saturating_sub(start.elapsed()))
-            .ok(),
-        None => rx.try_recv().ok(),
-    }
+/// Everything one worker thread holds.
+struct Worker<M> {
+    intake: Arc<Mutex<Intake>>,
+    reorder: Arc<Mutex<Reorder<M>>>,
+    verifier: Arc<dyn InboundVerifier<M>>,
+    shutdown: Arc<AtomicBool>,
+    counters: Arc<Counters>,
+    out: Sender<(NodeId, M)>,
+    wake: Option<Waker>,
+    batch: usize,
 }
 
-fn worker_loop<M: Send + 'static>(
-    intake: &Mutex<Intake>,
-    reorder: &Mutex<Reorder<M>>,
-    verifier: &dyn InboundVerifier<M>,
-    shutdown: &AtomicBool,
-    counters: &Counters,
-    out_tx: &SyncSender<(NodeId, M)>,
-    batch: usize,
-) {
-    while !shutdown.load(Ordering::Acquire) {
-        // Intake: one blocking wait, then claim whatever else is already
-        // queued (up to `batch`), assigning per-peer order tokens under
-        // the same lock so tokens match arrival order.
-        let (frames, tokens) = {
-            let mut intake = match intake.lock() {
-                Ok(guard) => guard,
-                Err(_) => return, // a worker panicked; don't compound it
-            };
-            let first = match intake.rx.recv_timeout(INTAKE_TICK) {
-                Ok(item) => item,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
-            };
-            let mut frames = vec![first];
-            while frames.len() < batch {
-                match intake.rx.try_recv() {
-                    Ok(item) => frames.push(item),
-                    Err(_) => break,
+impl<M: Send + 'static> Worker<M> {
+    fn run(self) {
+        while !self.shutdown.load(Ordering::Acquire) {
+            // Intake: one blocking wait, then claim whatever else is
+            // already queued (up to `batch`), assigning per-peer order
+            // tokens under the same lock so tokens match arrival order.
+            let (frames, tokens) = {
+                let mut intake = match self.intake.lock() {
+                    Ok(guard) => guard,
+                    Err(_) => return, // a worker panicked; don't compound it
+                };
+                let first = match intake.rx.recv_timeout(INTAKE_TICK) {
+                    Ok(item) => item,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return,
+                };
+                let mut frames = vec![first];
+                while frames.len() < self.batch {
+                    match intake.rx.try_recv() {
+                        Ok(item) => frames.push(item),
+                        Err(_) => break,
+                    }
                 }
-            }
-            let tokens: Vec<u64> = frames
-                .iter()
-                .map(|(peer, _)| {
-                    let next = intake.next_token.entry(*peer).or_insert(0);
-                    let token = *next;
-                    *next += 1;
-                    token
-                })
-                .collect();
-            (frames, tokens)
-        };
+                let tokens: Vec<u64> = frames
+                    .iter()
+                    .map(|(peer, _)| {
+                        let next = intake.next_token.entry(*peer).or_insert(0);
+                        let token = *next;
+                        *next += 1;
+                        token
+                    })
+                    .collect();
+                (frames, tokens)
+            };
 
-        // Decode and verify off the lock. A panicking verifier must not
-        // kill this worker before it parks its tokens: dying without
-        // them would silently stall every later frame from those peers
-        // (the reorder buffer waits forever on the gap).
-        let (outcomes, poisoned) = screen(verifier, counters, &frames);
+            // Decode and verify off the lock. A panicking verifier must
+            // not kill this worker before it parks its tokens: dying
+            // without them would silently stall every later frame from
+            // those peers (the reorder buffer waits forever on the gap).
+            let (outcomes, poisoned) = screen_batch(&*self.verifier, &self.counters, &frames);
 
-        // Release: park every frame's outcome (dropped frames park `None`
-        // so the token sequence stays dense), then flush each touched
-        // peer's contiguous ready prefix, in token order, while holding
-        // the reorder lock — that is the per-peer FIFO guarantee. The
-        // send below can block on a full output queue while holding this
-        // lock; that is deliberate backpressure (a stalled node pauses
-        // the whole pool rather than buffering unboundedly), at the cost
-        // of serializing workers while the node catches up.
-        let mut reorder = match reorder.lock() {
-            Ok(guard) => guard,
-            Err(_) => return,
-        };
-        for (((from, _), token), outcome) in frames.iter().zip(tokens).zip(outcomes) {
-            let peer = reorder.peers.entry(*from).or_default();
-            peer.parked.insert(token, outcome);
-            while let Some(msg) = peer.parked.remove(&peer.next_release) {
-                peer.next_release += 1;
-                if let Some(msg) = msg {
-                    if out_tx.send((*from, msg)).is_err() {
-                        return; // pool dropped; nobody is listening
+            // Release: park every frame's outcome (dropped frames park
+            // `None` so the token sequence stays dense), then flush each
+            // touched peer's contiguous ready prefix, in token order,
+            // while holding the reorder lock — that is the per-peer FIFO
+            // guarantee.
+            let mut reorder = match self.reorder.lock() {
+                Ok(guard) => guard,
+                Err(_) => return,
+            };
+            let mut released = false;
+            for (((from, _), token), outcome) in frames.iter().zip(tokens).zip(outcomes) {
+                let peer = reorder.peers.entry(*from).or_default();
+                peer.parked.insert(token, outcome);
+                while let Some(msg) = peer.parked.remove(&peer.next_release) {
+                    peer.next_release += 1;
+                    if let Some(msg) = msg {
+                        if self.out.send((*from, msg)).is_err() {
+                            return; // pool dropped; nobody is listening
+                        }
+                        released = true;
                     }
                 }
             }
-        }
-        if let Some(panic) = poisoned {
-            // Tokens are parked and FIFO continuity is safe — now fail
-            // loudly instead of running on with a compromised verifier.
             drop(reorder);
-            panic::resume_unwind(panic);
+            if released {
+                if let Some(wake) = &self.wake {
+                    wake.wake();
+                }
+            }
+            if let Some(panic) = poisoned {
+                // Tokens are parked and FIFO continuity is safe — now
+                // fail loudly instead of running on with a compromised
+                // verifier.
+                panic::resume_unwind(panic);
+            }
         }
     }
 }
@@ -433,7 +449,6 @@ fn worker_loop<M: Send + 'static>(
 mod tests {
     use super::*;
     use sbft_sim::SimRng;
-    use std::sync::mpsc::sync_channel;
 
     /// Test message: `(peer_tag, seq, poison)` packed into the payload.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -480,59 +495,47 @@ mod tests {
         payload
     }
 
-    /// The satellite stress test: 10k frames from several peers pushed
-    /// through a 4-worker pool with data-dependent verification delays,
-    /// in a seeded random interleaving. Per-peer FIFO must survive, every
-    /// valid frame must come out exactly once, rejects must be counted.
+    /// 10k frames from several peers pushed through a 4-worker pool with
+    /// data-dependent verification delays, in a seeded random
+    /// interleaving, while the submitting thread also takes releases.
+    /// Per-peer FIFO must survive, every valid frame must come out
+    /// exactly once, rejects must be counted.
     #[test]
     fn seeded_stress_preserves_per_peer_fifo() {
         const PEERS: usize = 5;
         const TOTAL: usize = 10_000;
         let mut rng = SimRng::new(0x51f0_57e5);
-        let (tx, rx) = sync_channel(256);
         let pool: VerifyPool<Seq> =
-            VerifyPool::start(rx, Arc::new(JitterVerifier), 4, 16, 128, &Registry::new());
-
-        let feeder = std::thread::spawn(move || {
-            let mut next_seq = [0u64; PEERS];
-            let mut sent = vec![0u64; PEERS];
-            for _ in 0..TOTAL {
-                let peer = (rng.next_u64() as usize) % PEERS;
-                let seq = next_seq[peer];
-                next_seq[peer] += 1;
-                tx.send((peer as NodeId, frame(peer as u64, seq)))
-                    .expect("pool alive");
-                sent[peer] += 1;
-            }
-            sent
-        });
+            VerifyPool::start(Arc::new(JitterVerifier), 4, 16, 128, &Registry::new(), None);
 
         let mut seen = vec![Vec::new(); PEERS];
         let mut received = 0usize;
-        let expected_valid = |sent: u64| (0..sent).filter(|s| s % 16 != 7).count();
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        loop {
-            match pool.recv_timeout(Duration::from_millis(200)) {
-                Some((from, msg)) => {
-                    assert_eq!(from as u64, msg.peer_tag, "attribution preserved");
-                    seen[from].push(msg.seq);
-                    received += 1;
-                }
-                None => {
-                    // A 200ms-quiet pool with the feeder done is drained
-                    // (verification jitter is microseconds).
-                    if feeder.is_finished() {
-                        break;
-                    }
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "stress run did not drain in time"
-                    );
-                }
+        let mut record = |(from, msg): (NodeId, Seq)| {
+            assert_eq!(from as u64, msg.peer_tag, "attribution preserved");
+            seen[from].push(msg.seq);
+            received += 1;
+        };
+        let mut sent = [0u64; PEERS];
+        for _ in 0..TOTAL {
+            let peer = (rng.next_u64() as usize) % PEERS;
+            let seq = sent[peer];
+            sent[peer] += 1;
+            assert!(
+                pool.submit(peer as NodeId, &frame(peer as u64, seq))
+                    .is_none(),
+                "workers screen, not the submitter"
+            );
+            while let Some(released) = pool.try_recv() {
+                record(released);
             }
         }
-        let sent = feeder.join().expect("feeder");
+        // A 200ms-quiet pool is drained (verification jitter is
+        // microseconds).
+        while let Some(released) = pool.recv_timeout(Duration::from_millis(200)) {
+            record(released);
+        }
 
+        let expected_valid = |sent: u64| (0..sent).filter(|s| s % 16 != 7).count();
         for (peer, seqs) in seen.iter().enumerate() {
             // Strict FIFO: the released sequence per peer is exactly the
             // sent sequence minus the poisoned frames, in order.
@@ -559,18 +562,17 @@ mod tests {
     #[test]
     fn malformed_frames_are_counted_and_do_not_stall_the_stream() {
         for threads in [1, 2] {
-            let (tx, rx) = sync_channel(64);
             let registry = Registry::new();
             let pool: VerifyPool<Seq> =
-                VerifyPool::start(rx, Arc::new(JitterVerifier), threads, 4, 64, &registry);
+                VerifyPool::start(Arc::new(JitterVerifier), threads, 4, 64, &registry, None);
             // Interleave garbage with valid frames from one peer: the
             // valid ones must still come out, in order, despite dropped
             // tokens.
-            for seq in 0..20u64 {
-                tx.send((3, frame(3, seq))).unwrap();
-                tx.send((3, vec![0xff; 3])).unwrap(); // undecodable
-            }
             let mut seqs = Vec::new();
+            for seq in 0..20u64 {
+                seqs.extend(pool.submit(3, &frame(3, seq)).map(|msg| msg.seq));
+                assert!(pool.submit(3, &[0xff; 3]).is_none(), "undecodable");
+            }
             while seqs.len() < 19 {
                 let (from, msg) = pool
                     .recv_timeout(Duration::from_secs(5))
@@ -596,13 +598,10 @@ mod tests {
 
     #[test]
     fn drop_shuts_workers_down() {
-        let (tx, rx) = sync_channel::<(NodeId, Vec<u8>)>(4);
         let pool: VerifyPool<Seq> =
-            VerifyPool::start(rx, Arc::new(JitterVerifier), 3, 4, 4, &Registry::new());
-        tx.send((0, frame(0, 0))).unwrap();
+            VerifyPool::start(Arc::new(JitterVerifier), 3, 4, 4, &Registry::new(), None);
+        assert!(pool.submit(0, &frame(0, 0)).is_none());
         let _ = pool.recv_timeout(Duration::from_secs(5)).expect("released");
         drop(pool); // must join all workers without hanging
-                    // The intake sender is still alive; sends just go nowhere.
-        let _ = tx.send((0, frame(0, 1)));
     }
 }

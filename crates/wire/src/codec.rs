@@ -14,6 +14,12 @@ impl Encoder {
         Encoder { buf: Vec::new() }
     }
 
+    /// Creates an encoder that appends to `buf`, keeping what it holds
+    /// and reusing its capacity; [`Encoder::into_bytes`] hands it back.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        Encoder { buf }
+    }
+
     /// Creates an encoder with reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
         Encoder {

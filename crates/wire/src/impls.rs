@@ -326,6 +326,10 @@ mod tests {
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
         let bytes = value.to_wire_bytes();
         assert_eq!(bytes.len(), value.wire_len(), "wire_len mismatch");
+        // Encoding behind existing bytes appends exactly the same bytes.
+        let mut framed = vec![0xee; 4];
+        assert_eq!(value.encode_into(&mut framed), bytes.len());
+        assert_eq!((&framed[..4], &framed[4..]), (&[0xee; 4][..], &bytes[..]));
         let decoded = T::from_wire_bytes(&bytes).expect("decode");
         assert_eq!(&decoded, value);
     }

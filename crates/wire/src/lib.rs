@@ -94,6 +94,16 @@ pub trait Wire: Sized {
         enc.into_bytes()
     }
 
+    /// Appends the encoding of `self` to `buf`, reusing its capacity;
+    /// returns the number of bytes appended.
+    fn encode_into(&self, buf: &mut Vec<u8>) -> usize {
+        let start = buf.len();
+        let mut enc = Encoder::from_vec(std::mem::take(buf));
+        self.encode(&mut enc);
+        *buf = enc.into_bytes();
+        buf.len() - start
+    }
+
     /// Number of bytes `self` occupies on the wire.
     fn wire_len(&self) -> usize {
         // Cheap enough for simulation purposes; types with hot paths can

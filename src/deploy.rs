@@ -45,10 +45,10 @@ pub fn replica_runtime_with_pipeline(
     replica.set_tracer(transport.registry().tracer());
     if exec_threads > 1 {
         // Completion wake: the executor injects a self-addressed
-        // `ExecuteReady` frame into the node's inbound channel, rousing
-        // a node thread parked in `recv_timeout`. The frame flows
-        // through the verify pipeline like any other message (the
-        // pre-verifier passes it; the replica only honours it from
+        // `ExecuteReady` frame and writes the transport's wake fd,
+        // rousing a node thread parked in its event loop's wait. The
+        // frame passes the replica's verifier like any other message
+        // (the pre-verifier passes it; the replica only honours it from
         // itself).
         let injector = transport.self_injector();
         let payload = SbftMsg::ExecuteReady.to_wire_bytes();

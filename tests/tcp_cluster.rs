@@ -235,7 +235,7 @@ fn four_replica_cluster_commits_with_verify_pipeline() {
 /// Acceptance: the cluster with block execution offloaded to a dedicated
 /// executor thread (2 wave workers) commits the full workload on the
 /// direct inbound path — the node thread hands committed blocks to the
-/// pool, parks in `recv_timeout`, and is woken by the executor's
+/// pool, parks in its event loop, and is woken by the executor's
 /// self-addressed `ExecuteReady` frame; replies still go out in order
 /// and agreement holds.
 #[test]
