@@ -7,8 +7,8 @@
 //! Flags: `--quick` (short window), `--clients a,b,c` (sweep points),
 //! `--verify-threads N` (verification pipeline workers per replica;
 //! 0 = auto from core count, 1 = checks on the node thread),
-//! `--exec-threads N` (execution pipeline: 0 = auto, 1 = inline on the
-//! node thread, ≥2 = offloaded with that many wave workers),
+//! `--exec-threads N` (where blocks execute: 0 = auto, 1 = in place on
+//! the node thread, ≥2 = on one executor thread),
 //! `--json PATH` (machine-readable result file, default
 //! `BENCH_loopback.json`), `--no-json`, `--no-trace` (disable
 //! per-request phase tracing — the A/B switch for measuring the
@@ -42,7 +42,7 @@ struct Args {
     smoke_floor: Option<f64>,
     /// 0 = auto (core count), 1 = checks on the node thread.
     verify_threads: usize,
-    /// 0 = auto, 1 = inline execution, >= 2 = offloaded wave workers.
+    /// 0 = auto, 1 = execution in place, >= 2 = on one executor thread.
     exec_threads: usize,
     json_path: Option<String>,
     /// Per-request phase tracing on the replicas (`--no-trace` turns it

@@ -2,18 +2,20 @@
 //! what it must answer for them.
 //!
 //! The node thread submits committed blocks in sequence order. One
-//! executor step runs each block on the replica's [`Service`] and queues
-//! a completion; the node drains completions in submission order and
-//! emits the block's effects (π share, replies, execute-acks). The step
-//! runs in one of two places, and nothing else differs between them:
+//! executor step runs each block through [`Service::execute_block`], the
+//! one execution algorithm (op by op, in block order), and queues a
+//! completion; the node drains completions in submission order and emits
+//! the block's effects (π share, replies, execute-acks). The step runs in
+//! one of two places, and nothing else differs between them:
 //!
 //! - **in place** (the default: the simulator and `exec_threads 1`): on
 //!   the node thread, inside [`ExecEngine::submit`], so the completion is
 //!   drained in the same handler invocation;
-//! - **on the `sbft-exec` thread** (after [`ExecEngine::offload`]): the
-//!   service moves to a dedicated thread with an intra-block
-//!   [`WavePool`], commands queue on a channel, and the thread wakes the
-//!   node after each completion (the `ExecuteReady` self-message).
+//! - **on the `sbft-exec` thread** (after [`ExecEngine::offload`]; the
+//!   paper's separate execution stage, `exec_threads >= 2`): the service
+//!   moves to a dedicated thread, commands queue on a channel, and the
+//!   thread wakes the node after each completion (the `ExecuteReady`
+//!   self-message).
 //!
 //! The engine keeps one per-seq store. Each drained block's
 //! [`BlockExecution`] (digest, results, results tree) stays until the
@@ -30,7 +32,7 @@ use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::thread::{Builder, JoinHandle};
 
-use sbft_statedb::{AuthKv, BlockExecution, RawOp, Service, WavePool};
+use sbft_statedb::{AuthKv, BlockExecution, RawOp, Service};
 use sbft_types::{Digest, SeqNum};
 
 /// Commands the node hands to the executor step.
@@ -63,11 +65,10 @@ struct Executed {
 /// A completion, tagged with the epoch its block was submitted under.
 type Completion = (u64, Executed);
 
-/// The executor step's state: the service, the intra-block wave pool and
-/// the epoch whose commands it honours.
+/// The executor step's state: the service and the epoch whose commands
+/// it honours.
 struct Executor {
     service: Box<dyn Service>,
-    waves: WavePool,
     epoch: u64,
     done: Sender<Completion>,
 }
@@ -87,7 +88,7 @@ impl Executor {
                 if epoch != self.epoch || seq != self.service.last_executed().next() {
                     return false;
                 }
-                let block = self.service.execute_block_parallel(seq, &ops, &self.waves);
+                let block = self.service.execute_block(seq, &ops);
                 let snapshot = snapshot.then(|| self.service.snapshot());
                 self.done
                     .send((epoch, Executed { block, snapshot }))
@@ -124,11 +125,10 @@ struct ExecThread {
 }
 
 impl ExecThread {
-    /// Runs `executor`'s step on a new thread, with a `threads`-wide wave
-    /// pool, calling `wake` after each completion.
-    fn spawn(mut executor: Executor, threads: usize, wake: Box<dyn Fn() + Send>) -> Self {
+    /// Runs `executor`'s step on a new thread, calling `wake` after each
+    /// completion.
+    fn spawn(mut executor: Executor, wake: Box<dyn Fn() + Send>) -> Self {
         let (cmds, intake) = channel::<ExecCmd>();
-        executor.waves = WavePool::new(threads);
         let handle = Builder::new()
             .name("sbft-exec".into())
             .spawn(move || {
@@ -185,7 +185,6 @@ impl ExecEngine {
         ExecEngine {
             runner: Runner::InPlace(Executor {
                 service,
-                waves: WavePool::new(1),
                 epoch: 0,
                 done: done_tx,
             }),
@@ -200,18 +199,17 @@ impl ExecEngine {
     }
 
     /// Moves the service onto the `sbft-exec` thread, which runs each
-    /// block through a `threads`-wide [`WavePool`] and calls `wake` after
-    /// every completion.
+    /// block and calls `wake` after every completion.
     ///
     /// # Panics
     ///
     /// Panics if execution is already offloaded.
-    pub fn offload(&mut self, threads: usize, wake: Box<dyn Fn() + Send>) {
+    pub fn offload(&mut self, wake: Box<dyn Fn() + Send>) {
         let runner = std::mem::replace(&mut self.runner, Runner::Thread(ExecThread::default()));
         let Runner::InPlace(executor) = runner else {
             panic!("execution is already offloaded");
         };
-        self.runner = Runner::Thread(ExecThread::spawn(executor, threads, wake));
+        self.runner = Runner::Thread(ExecThread::spawn(executor, wake));
     }
 
     fn dispatch(&mut self, cmd: ExecCmd) {
@@ -332,7 +330,12 @@ impl ExecEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbft_evm::{
+        counter_code, token_code, token_mint_calldata, token_transfer_calldata, Address,
+        EvmService, Transaction, TxReceipt,
+    };
     use sbft_statedb::{KvOp, KvService};
+    use sbft_types::U256;
     use sbft_wire::Wire;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -357,35 +360,35 @@ mod tests {
         }
     }
 
-    fn offloaded(threads: usize, checkpoint_period: u64) -> ExecEngine {
+    fn offloaded(checkpoint_period: u64) -> ExecEngine {
         let mut engine = ExecEngine::new(Box::new(KvService::new()), checkpoint_period);
-        engine.offload(threads, Box::new(|| {}));
+        engine.offload(Box::new(|| {}));
         engine
     }
 
-    #[test]
-    fn offloaded_engine_matches_inline_results() {
+    /// Runs `blocks` (seq 1, 2, ...) through an engine on the executor
+    /// thread and one in place, each on a fresh `service()`, and checks
+    /// that both store the same executions, serve the same proofs and keep
+    /// the same checkpoint snapshots (checkpoint period 2). Returns the
+    /// in-place engine.
+    fn assert_offload_matches_inline(
+        service: fn() -> Box<dyn Service>,
+        blocks: &[Vec<RawOp>],
+    ) -> ExecEngine {
         let wakes = Arc::new(AtomicU64::new(0));
         let counter = Arc::clone(&wakes);
-        let mut offloaded = ExecEngine::new(Box::new(KvService::new()), 2);
-        offloaded.offload(
-            2,
-            Box::new(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        let mut inline = ExecEngine::new(Box::new(KvService::new()), 2);
+        let mut offloaded = ExecEngine::new(service(), 2);
+        offloaded.offload(Box::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        }));
+        let mut inline = ExecEngine::new(service(), 2);
         assert!(offloaded.service().is_none() && inline.service().is_some());
 
-        for (seq, ops) in [
-            (1u64, vec![put("a", "1"), put("b", "2")]),
-            (2, vec![put("a", "3"), put("c", "4")]),
-            (3, vec![put("b", "5"), put("d", "6")]),
-        ] {
+        for (seq, ops) in (1u64..).zip(blocks) {
             let seq = SeqNum::new(seq);
             assert_eq!(offloaded.next_submit(), seq);
             offloaded.submit(seq, ops.clone());
-            inline.submit(seq, ops);
+            inline.submit(seq, ops.clone());
             assert_eq!(drain_blocking(&mut offloaded), seq);
             assert_eq!(
                 inline.try_completion(),
@@ -393,13 +396,16 @@ mod tests {
                 "in place is synchronous"
             );
             let (got, want) = (offloaded.execution(seq), inline.execution(seq));
+            assert!(want.is_some(), "block {seq:?} stored");
             assert_eq!(got, want, "digests, results and results trees agree");
             assert_eq!(offloaded.state_digest(), inline.state_digest());
-            assert_eq!(
-                got.and_then(|e| e.proof(1)),
-                want.and_then(|e| e.proof(1)),
-                "both serve the same proofs"
-            );
+            for l in 0..=ops.len() {
+                assert_eq!(
+                    got.and_then(|e| e.proof(l)),
+                    want.and_then(|e| e.proof(l)),
+                    "both serve the same proof for op {l}"
+                );
+            }
             let (got, want) = (
                 offloaded.checkpoint_state(seq),
                 inline.checkpoint_state(seq),
@@ -411,14 +417,96 @@ mod tests {
                 "checkpoint snapshots agree"
             );
         }
-        assert_eq!(wakes.load(Ordering::SeqCst), 3, "one wake per block");
+        assert_eq!(
+            wakes.load(Ordering::SeqCst),
+            blocks.len() as u64,
+            "one wake per block"
+        );
+        inline
+    }
+
+    #[test]
+    fn offloaded_engine_matches_inline_results() {
+        assert_offload_matches_inline(
+            || Box::new(KvService::new()),
+            &[
+                vec![put("a", "1"), put("b", "2")],
+                vec![put("a", "3"), put("c", "4")],
+                vec![put("b", "5"), put("d", "6")],
+            ],
+        );
+
+        // The EVM service on the executor thread: deploy a counter and a
+        // token, then calls that write storage, and a malformed
+        // transaction that fails deterministically.
+        let deployer = Address::account(0);
+        let (counter, token) = (
+            Address::for_contract(&deployer, 0),
+            Address::for_contract(&deployer, 1),
+        );
+        let (alice, bob) = (Address::account(1), Address::account(2));
+        let call = |sender: Address, to: Address, data: Vec<u8>| {
+            Transaction::Call {
+                sender,
+                to,
+                data,
+                gas_limit: 1_000_000,
+            }
+            .to_wire_bytes()
+        };
+        let create = |code: Vec<u8>| {
+            Transaction::Create {
+                sender: deployer,
+                code,
+                gas_limit: 10_000_000,
+            }
+            .to_wire_bytes()
+        };
+        let evm = assert_offload_matches_inline(
+            || Box::new(EvmService::new()),
+            &[
+                vec![create(counter_code()), create(token_code())],
+                vec![
+                    call(alice, counter, Vec::new()),
+                    call(
+                        deployer,
+                        token,
+                        token_mint_calldata(&alice.to_word(), &U256::from(100u64)),
+                    ),
+                ],
+                vec![
+                    call(
+                        alice,
+                        token,
+                        token_transfer_calldata(&bob.to_word(), &U256::from(40u64)),
+                    ),
+                    vec![0xff, 0x01],
+                    call(bob, counter, Vec::new()),
+                ],
+            ],
+        );
+        // The calls did real work: both engines failing alike would agree.
+        let receipt = |seq: u64, l: usize| {
+            let exec = evm.execution(SeqNum::new(seq)).expect("stored");
+            TxReceipt::from_bytes(&exec.results[l]).expect("a receipt")
+        };
+        for (seq, l) in [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 2)] {
+            assert!(receipt(seq, l).is_success(), "block {seq}, tx {l}");
+        }
+        assert_eq!(receipt(3, 1), TxReceipt::Failed("malformed".into()));
+        let evm = evm
+            .service()
+            .and_then(|s| s.as_any().downcast_ref::<EvmService>())
+            .expect("in place");
+        assert_eq!(evm.storage_at(&counter, &U256::ZERO), U256::from(2u64));
+        assert_eq!(evm.storage_at(&token, &bob.to_word()), U256::from(40u64));
     }
 
     #[test]
     fn checkpoint_state_is_its_own_blocks_state() {
         // Blocks 2 and 3 are both candidates and both complete before the
         // checkpoint at 2 is taken: the snapshot for 2 must not see 3.
-        let mut engine = offloaded(1, 2);
+        let mut engine = offloaded(2);
         for s in 1..=3u64 {
             engine.submit(SeqNum::new(s), vec![put("k", &s.to_string())]);
         }
@@ -438,7 +526,7 @@ mod tests {
 
     #[test]
     fn install_drops_stale_completions() {
-        let mut engine = offloaded(1, 128);
+        let mut engine = offloaded(128);
         engine.submit(SeqNum::new(1), vec![put("old", "x")]);
 
         // A state transfer lands before the completion is drained:

@@ -319,13 +319,13 @@ impl ReplicaNode {
     }
 
     /// Moves this replica's service onto its own execution thread, which
-    /// runs each committed block through a `threads`-wide wave pool. The
+    /// runs each committed block through [`Service::execute_block`]. The
     /// block's effects (replies, π shares, acks) are emitted as
     /// completions drain, after `wake` has roused the node — deploy makes
     /// it inject [`SbftMsg::ExecuteReady`]. Call before handing the
     /// replica to a driver.
-    pub fn offload_execution(&mut self, threads: usize, wake: Box<dyn Fn() + Send>) {
-        self.engine.offload(threads, wake);
+    pub fn offload_execution(&mut self, wake: Box<dyn Fn() + Send>) {
+        self.engine.offload(wake);
     }
 
     /// Attaches a slot-digest map to this replica and its inbound

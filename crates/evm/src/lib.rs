@@ -31,7 +31,7 @@ pub use contracts::{
     token_transfer_calldata,
 };
 pub use opcodes::{opcode_from_mnemonic, Opcode};
-pub use tx::{Address, EvmCostModel, EvmPlanner, EvmService, Transaction, TxReceipt};
+pub use tx::{Address, EvmCostModel, EvmService, Transaction, TxReceipt};
 pub use vm::{
     execute, ExecEnv, ExecOutcome, LogEntry, MapStorage, Storage, VmError, MEMORY_LIMIT,
     STACK_LIMIT,

@@ -12,10 +12,7 @@ use std::fmt;
 use sbft_types::{Digest, SeqNum, U256};
 
 use sbft_crypto::{sha256, Sha256};
-use sbft_statedb::{
-    execute_ops_parallel, AuthKv, BlockExecution, OpExecutor, PlannedOp, RawOp, ReadWriteSet,
-    Service, WavePool, WriteCmd,
-};
+use sbft_statedb::{AuthKv, BlockExecution, RawOp, Service};
 use sbft_wire::{DecodeError, Decoder, Encoder, Wire};
 
 use crate::vm::{execute, ExecEnv, Storage, VmError};
@@ -258,46 +255,6 @@ fn slot_key(addr: &Address, slot: &U256) -> Vec<u8> {
     k
 }
 
-/// Conflict token for one account. Every storage key a `Call` can touch
-/// embeds the contract address (the VM subset has no cross-contract
-/// opcodes), so one per-address token covers the code key and all slots.
-fn account_token(addr: &Address) -> Vec<u8> {
-    addr.0.to_vec()
-}
-
-/// Mutation sink shared by the serial and planning paths: writes go to a
-/// state (the live trie serially, a private scratch clone when planning
-/// on a worker) and are optionally recorded for the wave apply phase.
-struct TxSink<'a> {
-    state: &'a mut AuthKv,
-    writes: Option<&'a mut Vec<WriteCmd>>,
-}
-
-impl TxSink<'_> {
-    fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        let key_hash = *sha256(&key).as_bytes();
-        if let Some(writes) = self.writes.as_deref_mut() {
-            writes.push(WriteCmd::Put {
-                key_hash,
-                key: key.clone(),
-                value: value.clone(),
-            });
-        }
-        self.state.insert_hashed(key_hash, &key, value);
-    }
-
-    fn remove(&mut self, key: &[u8]) {
-        let key_hash = *sha256(key).as_bytes();
-        if let Some(writes) = self.writes.as_deref_mut() {
-            writes.push(WriteCmd::Delete {
-                key_hash,
-                key: key.to_vec(),
-            });
-        }
-        self.state.remove_hashed(&key_hash, key);
-    }
-}
-
 /// A journaling storage view scoped to one contract: reads hit the
 /// underlying store, writes buffer in the journal and only apply on
 /// success (reverted transactions leave no trace).
@@ -395,46 +352,30 @@ impl EvmService {
         self.last_executed = seq;
         self.last_digest = digest;
     }
-
-    /// Ends a block on either execution path: records the new frontier
-    /// and returns the block's execution.
-    fn finish(
-        &mut self,
-        seq: SeqNum,
-        ops: &[RawOp],
-        results: Vec<Vec<u8>>,
-        cpu_cost_ns: u64,
-    ) -> BlockExecution {
-        let execution = BlockExecution::finish(seq, self.state.root(), ops, results, cpu_cost_ns);
-        self.last_executed = seq;
-        self.last_digest = execution.state_digest;
-        execution
-    }
 }
 
-fn next_nonce(sink: &mut TxSink<'_>, addr: &Address) -> u64 {
+fn next_nonce(state: &mut AuthKv, addr: &Address) -> u64 {
     let key = nonce_key(addr);
-    let nonce = sink
-        .state
+    let nonce = state
         .get(&key)
         .map(U256::from_be_slice)
         .unwrap_or(U256::ZERO)
         .low_u64();
-    sink.insert(key, U256::from(nonce + 1).to_be_bytes().to_vec());
+    state.insert(&key, U256::from(nonce + 1).to_be_bytes().to_vec());
     nonce
 }
 
-fn apply_tx(sink: &mut TxSink<'_>, seq: SeqNum, raw: &[u8]) -> (TxReceipt, u64) {
+fn apply_tx(state: &mut AuthKv, seq: SeqNum, raw: &[u8]) -> (TxReceipt, u64) {
     let tx = match Transaction::from_wire_bytes(raw) {
         Ok(tx) => tx,
         // Malformed transactions fail deterministically.
         Err(_) => return (TxReceipt::Failed("malformed".into()), INTRINSIC_GAS),
     };
-    apply_decoded(sink, seq, tx, true)
+    apply_decoded(state, seq, tx, true)
 }
 
 fn apply_decoded(
-    sink: &mut TxSink<'_>,
+    state: &mut AuthKv,
     seq: SeqNum,
     tx: Transaction,
     allow_batch: bool,
@@ -450,7 +391,7 @@ fn apply_decoded(
             let mut ok = 0u32;
             let total = txs.len() as u32;
             for tx in txs {
-                let (receipt, g) = apply_decoded(sink, seq, tx, false);
+                let (receipt, g) = apply_decoded(state, seq, tx, false);
                 gas += g;
                 if receipt.is_success() {
                     ok += 1;
@@ -470,9 +411,9 @@ fn apply_decoded(
             if gas > gas_limit {
                 return (TxReceipt::Failed("out of gas".into()), gas_limit);
             }
-            let nonce = next_nonce(sink, &sender);
+            let nonce = next_nonce(state, &sender);
             let addr = Address::for_contract(&sender, nonce);
-            sink.insert(code_key(&addr), code);
+            state.insert(&code_key(&addr), code);
             (TxReceipt::Success(addr.0.to_vec()), gas)
         }
         Transaction::Call {
@@ -481,7 +422,7 @@ fn apply_decoded(
             data,
             gas_limit,
         } => {
-            let Some(code) = sink.state.get(&code_key(&to)).map(<[u8]>::to_vec) else {
+            let Some(code) = state.get(&code_key(&to)).map(<[u8]>::to_vec) else {
                 return (TxReceipt::Failed("no contract".into()), INTRINSIC_GAS);
             };
             if gas_limit < INTRINSIC_GAS {
@@ -495,7 +436,7 @@ fn apply_decoded(
                 timestamp: seq.get(), // deterministic stand-in
             };
             let mut storage = JournaledStorage {
-                state: sink.state,
+                state,
                 address: to,
                 journal: Vec::new(),
             };
@@ -506,9 +447,9 @@ fn apply_decoded(
                     for (slot, value) in journal {
                         let key = slot_key(&to, &slot);
                         if value.is_zero() {
-                            sink.remove(&key);
+                            state.remove(&key);
                         } else {
-                            sink.insert(key, value.to_be_bytes().to_vec());
+                            state.insert(&key, value.to_be_bytes().to_vec());
                         }
                     }
                     (
@@ -531,65 +472,6 @@ fn apply_decoded(
     }
 }
 
-/// The planning half of [`EvmService`] for the parallel execution
-/// pipeline: a `Call` declares one per-account write token (the VM subset
-/// has no cross-contract opcodes, so a call touches only `to`'s code and
-/// slots), while `Create` falls back to whole-state — the new code key
-/// depends on the sender's live nonce, so its footprint is
-/// state-dependent.
-pub struct EvmPlanner {
-    cost: EvmCostModel,
-    seq: SeqNum,
-}
-
-impl EvmPlanner {
-    /// Creates a planner for the block at `seq` mirroring `cost`'s
-    /// charging rules.
-    pub fn new(cost: EvmCostModel, seq: SeqNum) -> Self {
-        EvmPlanner { cost, seq }
-    }
-
-    fn declare(tx: &Transaction, set: &mut ReadWriteSet) {
-        match tx {
-            Transaction::Create { .. } => set.union(&ReadWriteSet::whole_state()),
-            Transaction::Call { to, .. } => set.union(&ReadWriteSet::write(account_token(to))),
-            Transaction::Batch(txs) => {
-                for tx in txs {
-                    EvmPlanner::declare(tx, set);
-                }
-            }
-        }
-    }
-}
-
-impl OpExecutor for EvmPlanner {
-    fn rw_set(&self, op: &[u8]) -> ReadWriteSet {
-        let mut set = ReadWriteSet::empty();
-        if let Ok(tx) = Transaction::from_wire_bytes(op) {
-            EvmPlanner::declare(&tx, &mut set);
-        }
-        set
-    }
-
-    fn plan_op(&self, state: &AuthKv, op: &[u8]) -> PlannedOp {
-        let mut scratch = state.clone();
-        let mut writes = Vec::new();
-        let (receipt, gas) = {
-            let mut sink = TxSink {
-                state: &mut scratch,
-                writes: Some(&mut writes),
-            };
-            apply_tx(&mut sink, self.seq, op)
-        };
-        PlannedOp {
-            result: receipt.to_bytes(),
-            writes,
-            cost_ns: self.cost.per_tx_ns + self.cost.per_gas_ns * gas,
-            aux: gas,
-        }
-    }
-}
-
 impl Service for EvmService {
     fn execute_block(&mut self, seq: SeqNum, ops: &[RawOp]) -> BlockExecution {
         assert_eq!(
@@ -600,37 +482,15 @@ impl Service for EvmService {
         let mut results = Vec::with_capacity(ops.len());
         let mut cpu = self.cost.commit_ns;
         for op in ops {
-            let mut sink = TxSink {
-                state: &mut self.state,
-                writes: None,
-            };
-            let (receipt, gas) = apply_tx(&mut sink, seq, op);
+            let (receipt, gas) = apply_tx(&mut self.state, seq, op);
             self.total_gas += gas;
             cpu += self.cost.per_tx_ns + self.cost.per_gas_ns * gas;
             results.push(receipt.to_bytes());
         }
-        self.finish(seq, ops, results, cpu)
-    }
-
-    fn execute_block_parallel(
-        &mut self,
-        seq: SeqNum,
-        ops: &[RawOp],
-        pool: &WavePool,
-    ) -> BlockExecution {
-        if pool.threads() <= 1 {
-            return self.execute_block(seq, ops);
-        }
-        assert_eq!(
-            seq,
-            self.last_executed.next(),
-            "blocks execute in sequence order"
-        );
-        let planner: std::sync::Arc<dyn OpExecutor> =
-            std::sync::Arc::new(EvmPlanner::new(self.cost.clone(), seq));
-        let block = execute_ops_parallel(&mut self.state, ops, &planner, pool);
-        self.total_gas += block.aux;
-        self.finish(seq, ops, block.results, self.cost.commit_ns + block.cost_ns)
+        let execution = BlockExecution::finish(seq, self.state.root(), ops, results, cpu);
+        self.last_executed = seq;
+        self.last_digest = execution.state_digest;
+        execution
     }
 
     fn state_digest(&self) -> Digest {
@@ -651,104 +511,6 @@ impl Service for EvmService {
 
     fn as_any(&self) -> &dyn std::any::Any {
         self
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use crate::contracts::{
-        counter_code, token_balance_calldata, token_code, token_mint_calldata,
-        token_transfer_calldata,
-    };
-    use sbft_crypto::SplitMix64;
-
-    fn random_call(rng: &mut SplitMix64, targets: &[Address]) -> Transaction {
-        let to = targets[(rng.next_u64() as usize) % targets.len()];
-        let sender = Address::account(rng.next_u64() % 6);
-        let word = U256::from(rng.next_u64() % 8);
-        let data = match rng.next_u64() % 4 {
-            0 => token_mint_calldata(&word, &U256::from(1 + rng.next_u64() % 100)),
-            1 => token_transfer_calldata(&word, &U256::from(rng.next_u64() % 50)),
-            2 => token_balance_calldata(&word),
-            _ => Vec::new(),
-        };
-        // Occasionally starve the call of gas.
-        let gas_limit = if rng.next_u64() % 16 == 0 {
-            1_000
-        } else {
-            1_000_000
-        };
-        Transaction::Call {
-            sender,
-            to,
-            data,
-            gas_limit,
-        }
-    }
-
-    fn random_op(rng: &mut SplitMix64, targets: &[Address]) -> Vec<u8> {
-        match rng.next_u64() % 10 {
-            // Whole-state fallback path.
-            0 => Transaction::Create {
-                sender: Address::account(rng.next_u64() % 6),
-                code: counter_code(),
-                gas_limit: 10_000_000,
-            }
-            .to_wire_bytes(),
-            1 => {
-                let len = 1 + (rng.next_u64() % 4) as usize;
-                Transaction::Batch((0..len).map(|_| random_call(rng, targets)).collect())
-                    .to_wire_bytes()
-            }
-            // Malformed bytes: must stay a deterministic failure.
-            2 => vec![0xff, rng.next_u64() as u8],
-            _ => random_call(rng, targets).to_wire_bytes(),
-        }
-    }
-
-    #[test]
-    fn parallel_execution_is_byte_identical_to_serial() {
-        let mut rng = SplitMix64::new(0x0e7b_0001);
-        let deployer = Address::account(0);
-        let genesis: Vec<RawOp> = (0..5)
-            .map(|i| {
-                Transaction::Create {
-                    sender: deployer,
-                    code: if i < 4 { token_code() } else { counter_code() },
-                    gas_limit: 10_000_000,
-                }
-                .to_wire_bytes()
-            })
-            .collect();
-        // Contract addresses are nonce-derived, so they are known up front.
-        let mut targets: Vec<Address> = (0..5)
-            .map(|nonce| Address::for_contract(&deployer, nonce))
-            .collect();
-        targets.push(Address::account(99)); // no contract deployed here
-
-        let mut serial = EvmService::new();
-        let pools = [WavePool::new(2), WavePool::new(4)];
-        let mut parallel: Vec<EvmService> = pools.iter().map(|_| EvmService::new()).collect();
-        let expected = serial.execute_block(SeqNum::new(1), &genesis);
-        for (svc, pool) in parallel.iter_mut().zip(&pools) {
-            let got = svc.execute_block_parallel(SeqNum::new(1), &genesis, pool);
-            assert_eq!(got, expected, "genesis block diverged");
-        }
-        for block in 2..=12u64 {
-            let op_count = 1 + (rng.next_u64() % 24) as usize;
-            let ops: Vec<RawOp> = (0..op_count)
-                .map(|_| random_op(&mut rng, &targets))
-                .collect();
-            let seq = SeqNum::new(block);
-            let expected = serial.execute_block(seq, &ops);
-            for (svc, pool) in parallel.iter_mut().zip(&pools) {
-                let got = svc.execute_block_parallel(seq, &ops, pool);
-                assert_eq!(got, expected, "block {block} diverged from serial");
-                assert_eq!(svc.state().root(), serial.state().root());
-                assert_eq!(svc.total_gas, serial.total_gas);
-            }
-        }
     }
 }
 

@@ -5,22 +5,19 @@
 //! them), so every op is read by one decoder, [`KvOpRef::parse`], which
 //! borrows: keys and values stay slices of the op's bytes, and a put
 //! allocates only the value the trie keeps (and the key, if it is new to
-//! the store). The serial executor, the wave planner and the owned
-//! [`KvOp`] codec all go through it. Batches are flat: a batch inside a
-//! batch does not decode, so no step recurses on input depth, and such an
-//! op executes as the deterministic no-op every malformed op is. Keys are
-//! hashed per access, with no memo: a short key is one `compress` call on
-//! the one-shot path of [`sbft_crypto::sha256`].
+//! the store). The executor and the owned [`KvOp`] codec both go through
+//! it. Batches are flat: a batch inside a batch does not decode, so no
+//! step recurses on input depth, and such an op executes as the
+//! deterministic no-op every malformed op is. Keys are hashed per access,
+//! with no memo: a short key is one `compress` call on the one-shot path
+//! of [`sbft_crypto::sha256`].
 
 use std::slice;
 
 use sbft_types::{Digest, SeqNum};
 
-use sbft_crypto::sha256;
 use sbft_wire::{DecodeError, Decoder, Encoder, Wire};
 
-use crate::exec::{execute_ops_parallel, OpExecutor, PlannedOp, WavePool, WriteCmd};
-use crate::rwset::ReadWriteSet;
 use crate::service::{BlockExecution, RawOp, Service};
 use crate::trie::AuthKv;
 
@@ -196,36 +193,16 @@ impl<'a> KvOpRef<'a> {
     }
 
     /// Runs the accesses in order against `state` and returns the last
-    /// one's result. The wave planner passes `writes` to record each
-    /// write for its serial apply; the serial executor passes `None`.
-    fn run(&self, state: &mut AuthKv, mut writes: Option<&mut Vec<WriteCmd>>) -> Vec<u8> {
+    /// one's result.
+    fn run(&self, state: &mut AuthKv) -> Vec<u8> {
         let mut result = Vec::new();
         for access in self.accesses() {
             result = match *access {
                 KvAccess::Put { key, value } => {
-                    let key_hash = *sha256(key).as_bytes();
-                    if let Some(writes) = writes.as_deref_mut() {
-                        writes.push(WriteCmd::Put {
-                            key_hash,
-                            key: key.to_vec(),
-                            value: value.to_vec(),
-                        });
-                    }
-                    state
-                        .insert_hashed(key_hash, key, value.to_vec())
-                        .unwrap_or_default()
+                    state.insert(key, value.to_vec()).unwrap_or_default()
                 }
                 KvAccess::Get { key } => state.get(key).map(<[u8]>::to_vec).unwrap_or_default(),
-                KvAccess::Delete { key } => {
-                    let key_hash = *sha256(key).as_bytes();
-                    if let Some(writes) = writes.as_deref_mut() {
-                        writes.push(WriteCmd::Delete {
-                            key_hash,
-                            key: key.to_vec(),
-                        });
-                    }
-                    state.remove_hashed(&key_hash, key).unwrap_or_default()
-                }
+                KvAccess::Delete { key } => state.remove(key).unwrap_or_default(),
                 KvAccess::Noop => Vec::new(),
             };
         }
@@ -334,82 +311,15 @@ impl KvService {
         self.last_digest = digest;
     }
 
-    /// Ends a block on either execution path: records the new frontier
-    /// and returns the block's execution.
-    fn finish(
-        &mut self,
-        seq: SeqNum,
-        ops: &[RawOp],
-        results: Vec<Vec<u8>>,
-        cpu_cost_ns: u64,
-    ) -> BlockExecution {
-        let execution = BlockExecution::finish(seq, self.state.root(), ops, results, cpu_cost_ns);
-        self.last_executed = seq;
-        self.last_digest = execution.state_digest;
-        execution
-    }
-
     fn apply(&mut self, op_bytes: &[u8]) -> (Vec<u8>, u64) {
         let op = KvOpRef::parse(op_bytes).ok();
         // Malformed operations execute as no-ops deterministically: all
         // replicas see the same bytes, so all agree on the outcome.
         let result = match &op {
-            Some(op) => op.run(&mut self.state, None),
+            Some(op) => op.run(&mut self.state),
             None => Vec::new(),
         };
         (result, self.cost.op_ns(op.as_ref()))
-    }
-}
-
-/// The stateless planning half of [`KvService`] for the parallel
-/// execution pipeline (see [`execute_ops_parallel`]): key-value footprints are
-/// statically derivable from the op encoding — the conflict token of a
-/// key is the key itself.
-#[derive(Debug, Clone, Default)]
-pub struct KvPlanner {
-    cost: KvCostModel,
-}
-
-impl KvPlanner {
-    /// Creates a planner mirroring `cost`'s charging rules.
-    pub fn with_cost(cost: KvCostModel) -> Self {
-        KvPlanner { cost }
-    }
-}
-
-impl OpExecutor for KvPlanner {
-    fn rw_set(&self, op: &[u8]) -> ReadWriteSet {
-        let mut set = ReadWriteSet::empty();
-        if let Ok(op) = KvOpRef::parse(op) {
-            for access in op.accesses() {
-                match *access {
-                    KvAccess::Put { key, .. } | KvAccess::Delete { key } => {
-                        set.writes.insert(key.to_vec());
-                    }
-                    KvAccess::Get { key } => {
-                        set.reads.insert(key.to_vec());
-                    }
-                    KvAccess::Noop => {}
-                }
-            }
-        }
-        set
-    }
-
-    /// Runs the op the way [`KvService`] does, on a private snapshot clone
-    /// (so batch accesses observe each other), recording its writes for
-    /// the serial apply phase.
-    fn plan_op(&self, state: &AuthKv, op: &[u8]) -> PlannedOp {
-        let op = KvOpRef::parse(op).ok();
-        let mut out = PlannedOp {
-            cost_ns: self.cost.op_ns(op.as_ref()),
-            ..PlannedOp::default()
-        };
-        // Same deterministic no-op as the serial path when malformed.
-        if let Some(op) = &op {
-            out.result = op.run(&mut state.clone(), Some(&mut out.writes));
-        }
-        out
     }
 }
 
@@ -427,27 +337,10 @@ impl Service for KvService {
             results.push(result);
             cpu += cost;
         }
-        self.finish(seq, ops, results, cpu)
-    }
-
-    fn execute_block_parallel(
-        &mut self,
-        seq: SeqNum,
-        ops: &[RawOp],
-        pool: &WavePool,
-    ) -> BlockExecution {
-        if pool.threads() <= 1 {
-            return self.execute_block(seq, ops);
-        }
-        assert_eq!(
-            seq,
-            self.last_executed.next(),
-            "blocks execute in sequence order"
-        );
-        let planner: std::sync::Arc<dyn OpExecutor> =
-            std::sync::Arc::new(KvPlanner::with_cost(self.cost.clone()));
-        let block = execute_ops_parallel(&mut self.state, ops, &planner, pool);
-        self.finish(seq, ops, block.results, self.cost.commit_ns + block.cost_ns)
+        let execution = BlockExecution::finish(seq, self.state.root(), ops, results, cpu);
+        self.last_executed = seq;
+        self.last_digest = execution.state_digest;
+        execution
     }
 
     fn state_digest(&self) -> Digest {
@@ -476,6 +369,7 @@ mod tests {
     use super::*;
     use crate::service::verify_execution;
     use sbft_crypto::SplitMix64;
+    use std::collections::BTreeMap;
 
     fn put(key: &str, value: &str) -> Vec<u8> {
         KvOp::Put {
@@ -624,7 +518,6 @@ mod tests {
         // A no-op inside 200,000 nested batches, 400,001 bytes: a decoder
         // that recursed per level overflowed the stack here.
         let deep = [[BATCH_TAG, 1].repeat(200_000), vec![3]].concat();
-        let pool = WavePool::new(2);
         let block = |op: Vec<u8>| vec![put("a", "1"), op, get("a")];
         let noop =
             KvService::new().execute_block(SeqNum::new(1), &block(KvOp::Noop.to_wire_bytes()));
@@ -635,14 +528,11 @@ mod tests {
             ("nested batch", nested),
             ("deeply nested batch", deep),
         ] {
-            let ops = block(bad);
-            let serial = KvService::new().execute_block(SeqNum::new(1), &ops);
-            let wave = KvService::new().execute_block_parallel(SeqNum::new(1), &ops, &pool);
-            assert_eq!(wave, serial, "{name}: wave path");
+            let bad = KvService::new().execute_block(SeqNum::new(1), &block(bad));
             // Exactly what a no-op does: no result, no write, one op's cost.
-            assert_eq!(serial.results, noop.results, "{name}");
-            assert_eq!(serial.state_root, noop.state_root, "{name}");
-            assert_eq!(serial.cpu_cost_ns, noop.cpu_cost_ns, "{name}");
+            assert_eq!(bad.results, noop.results, "{name}");
+            assert_eq!(bad.state_root, noop.state_root, "{name}");
+            assert_eq!(bad.cpu_cost_ns, noop.cpu_cost_ns, "{name}");
         }
     }
 
@@ -672,16 +562,12 @@ mod tests {
         let big = svc.execute_block(SeqNum::new(2), &[put("k", &big_value)]);
         assert!(big.cpu_cost_ns > small.cpu_cost_ns);
     }
-}
 
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use sbft_crypto::SplitMix64;
-
-    /// Random op over a deliberately small key space so blocks mix
-    /// conflicting and independent ops (and some malformed bytes).
-    fn random_op(rng: &mut SplitMix64, depth: usize) -> Vec<u8> {
+    /// A seeded op over a deliberately small key space (13 keys), so
+    /// blocks read and overwrite each other's keys, paired with the op it
+    /// means: `None` for malformed bytes (an unknown tag, a batch inside a
+    /// batch, a truncated batch), which execute as no-ops.
+    fn random_op(rng: &mut SplitMix64, depth: usize) -> (Vec<u8>, Option<KvOp>) {
         fn key(rng: &mut SplitMix64) -> Vec<u8> {
             format!("key-{}", rng.next_u64() % 13).into_bytes()
         }
@@ -701,63 +587,73 @@ mod parallel_tests {
                 let len = 1 + (rng.next_u64() % 5) as usize;
                 let batch = KvOp::Batch(
                     (0..len)
-                        .map(|_| {
-                            let sub = random_op(rng, depth + 1);
-                            KvOp::from_wire_bytes(&sub).unwrap_or(KvOp::Noop)
-                        })
-                        .collect::<Vec<_>>(),
+                        .map(|_| random_op(rng, depth + 1).1.expect("a flat op"))
+                        .collect(),
                 );
-                // Malformed bytes, a batch inside a batch and a truncated
-                // batch must all stay deterministic no-ops.
                 return match rng.next_u64() % 8 {
-                    0 => vec![0xfe; len],
-                    1 => KvOp::Batch(vec![batch]).to_wire_bytes(),
+                    0 => (vec![0xfe; len], None),
+                    1 => (KvOp::Batch(vec![batch]).to_wire_bytes(), None),
                     2 => {
                         let mut bytes = batch.to_wire_bytes();
                         bytes.pop();
-                        bytes
+                        (bytes, None)
                     }
-                    _ => batch.to_wire_bytes(),
+                    _ => (batch.to_wire_bytes(), Some(batch)),
                 };
             }
         };
-        op.to_wire_bytes()
+        (op.to_wire_bytes(), Some(op))
+    }
+
+    /// Applies `op` to an ordered map and returns what the service must
+    /// answer: the old value for a put or delete, the value for a get, the
+    /// last access's result for a batch.
+    fn model_apply(model: &mut BTreeMap<Vec<u8>, Vec<u8>>, op: &KvOp) -> Vec<u8> {
+        match op {
+            KvOp::Put { key, value } => model.insert(key.clone(), value.clone()),
+            KvOp::Get { key } => model.get(key).cloned(),
+            KvOp::Delete { key } => model.remove(key),
+            KvOp::Noop => None,
+            KvOp::Batch(ops) => return ops.iter().fold(Vec::new(), |_, op| model_apply(model, op)),
+        }
+        .unwrap_or_default()
     }
 
     #[test]
-    fn parallel_execution_is_byte_identical_to_serial() {
+    fn seeded_blocks_match_an_ordered_map_model() {
         let mut rng = SplitMix64::new(0x5bf7_0001);
-        let mut serial = KvService::new();
-        let pools: Vec<WavePool> = vec![WavePool::new(2), WavePool::new(4)];
-        let mut parallel: Vec<KvService> = pools.iter().map(|_| KvService::new()).collect();
+        let mut svc = KvService::new();
+        let mut model = BTreeMap::new();
+        let (mut batches, mut malformed) = (0, 0);
         for block in 1..=24u64 {
             let op_count = 1 + (rng.next_u64() % 40) as usize;
-            let ops: Vec<RawOp> = (0..op_count).map(|_| random_op(&mut rng, 0)).collect();
-            let seq = SeqNum::new(block);
-            let expected = serial.execute_block(seq, &ops);
-            for (svc, pool) in parallel.iter_mut().zip(&pools) {
-                let got = svc.execute_block_parallel(seq, &ops, pool);
-                assert_eq!(got, expected, "block {block} diverged from serial");
-                assert_eq!(svc.state().root(), serial.state().root());
+            let (ops, meant): (Vec<RawOp>, Vec<Option<KvOp>>) =
+                (0..op_count).map(|_| random_op(&mut rng, 0)).unzip();
+            let exec = svc.execute_block(SeqNum::new(block), &ops);
+            for (l, op) in meant.iter().enumerate() {
+                let want = match op {
+                    Some(op) => {
+                        batches += usize::from(matches!(op, KvOp::Batch(_)));
+                        model_apply(&mut model, op)
+                    }
+                    None => {
+                        malformed += 1;
+                        Vec::new()
+                    }
+                };
+                assert_eq!(exec.results[l], want, "block {block}, op {l}");
             }
+            let contents: BTreeMap<Vec<u8>, Vec<u8>> = svc
+                .state()
+                .iter()
+                .map(|(k, v)| (k.to_vec(), v.to_vec()))
+                .collect();
+            assert_eq!(contents, model, "block {block}");
+            assert_eq!(svc.state().len(), model.len(), "block {block}");
         }
-    }
-
-    #[test]
-    fn single_thread_pool_takes_the_serial_path() {
-        let pool = WavePool::new(1);
-        let mut a = KvService::new();
-        let mut b = KvService::new();
-        let ops = vec![
-            KvOp::Put {
-                key: b"k".to_vec(),
-                value: b"v".to_vec(),
-            }
-            .to_wire_bytes(),
-            KvOp::Get { key: b"k".to_vec() }.to_wire_bytes(),
-        ];
-        let ea = a.execute_block(SeqNum::new(1), &ops);
-        let eb = b.execute_block_parallel(SeqNum::new(1), &ops, &pool);
-        assert_eq!(ea, eb);
+        assert!(
+            batches > 0 && malformed > 0,
+            "{batches} batches, {malformed} malformed"
+        );
     }
 }

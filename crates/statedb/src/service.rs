@@ -12,9 +12,9 @@
 //! threshold signature on `d_s` can then verify its operation's output with
 //! one Merkle path — the single-message acknowledgement of §V-D.
 //!
-//! A [`Service`] only computes: it executes a block and hands back a
-//! [`BlockExecution`] carrying the block's results and their Merkle tree.
-//! It keeps no per-block history. The replica stores each block's
+//! A [`Service`] only computes: it executes a block, op by op in block
+//! order, and hands back a [`BlockExecution`] carrying the block's
+//! results and their Merkle tree. It keeps no per-block history. The replica stores each block's
 //! execution until the block's checkpoint is stable and serves
 //! `proof(o, l, s, D, val)` from it ([`BlockExecution::proof`]).
 
@@ -46,7 +46,7 @@ pub struct BlockExecution {
 impl BlockExecution {
     /// Finishes a block whose operations produced `results` and left the
     /// state at `state_root`: builds the results tree and the signed
-    /// digest `d_s`. Every service's serial and wave paths end here.
+    /// digest `d_s`. Every service's `execute_block` ends here.
     pub fn finish(
         seq: SeqNum,
         state_root: Digest,
@@ -161,24 +161,12 @@ pub fn op_digest(op: &[u8]) -> Digest {
 /// state machine that executes blocks in sequence order. `Send`, so a
 /// replica can move it onto its executor thread.
 pub trait Service: Send {
-    /// Executes a block of operations, advancing the state from `D_{s-1}`
-    /// to `D_s`, and returns outputs + the signed state digest.
+    /// Executes a block of operations one after another, in block order,
+    /// advancing the state from `D_{s-1}` to `D_s`, and returns outputs +
+    /// the signed state digest. This is the only execution algorithm: the
+    /// replica calls it in place on its node thread or on its executor
+    /// thread, and nothing else differs.
     fn execute_block(&mut self, seq: SeqNum, ops: &[RawOp]) -> BlockExecution;
-
-    /// Like [`Service::execute_block`], but services that support
-    /// intra-block parallelism may run non-conflicting ops concurrently on
-    /// `pool` (see [`crate::execute_ops_parallel`]). The outputs must be byte-identical to
-    /// the serial path regardless of the pool's thread count; the default
-    /// simply ignores the pool.
-    fn execute_block_parallel(
-        &mut self,
-        seq: SeqNum,
-        ops: &[RawOp],
-        pool: &crate::exec::WavePool,
-    ) -> BlockExecution {
-        let _ = pool;
-        self.execute_block(seq, ops)
-    }
 
     /// The digest of the current state (after the last executed block).
     fn state_digest(&self) -> Digest;

@@ -36,9 +36,10 @@
 //! Each node caches its digest in a `DigestCell` of four atomic words,
 //! all zero while unset, written once after each write to the node.
 //! A digest is a pure function of the node's contents, which are
-//! immutable while the node is shared, so threads hashing one snapshot at
-//! once (wave workers, the executor thread) may race to fill a cell, and
-//! every racer stores the same four words. A reader trusts the cell only
+//! immutable while the node is shared, so threads hashing shared nodes at
+//! once (the executor thread in its live state, the node thread in a
+//! checkpoint snapshot of it) may race to fill a cell, and every racer
+//! stores the same four words. A reader trusts the cell only
 //! when no word is zero, and those are then the final words; a partly
 //! written cell reads as unset and is hashed again. So the cell needs no
 //! lock, no `Once` and no atomic read-modify-write, and no ordering
@@ -47,9 +48,8 @@
 //! only re-hashed on each use.
 //!
 //! Nodes are `Arc`-counted with these cells, so [`AuthKv`] is
-//! `Send + Sync`: the execution pipeline ships O(1) snapshots across
-//! threads and wave workers read one snapshot concurrently (see
-//! [`crate::exec`]). Mutation still requires `&mut AuthKv` — concurrency
+//! `Send + Sync`: the executor thread ships O(1) checkpoint snapshots to
+//! the node thread. Mutation still requires `&mut AuthKv` — concurrency
 //! is over immutable snapshots, never shared writes.
 
 use std::mem;
@@ -360,12 +360,7 @@ impl AuthKv {
     }
 
     /// [`AuthKv::insert`] with the key's SHA-256 already computed.
-    pub fn insert_hashed(
-        &mut self,
-        key_hash: [u8; 32],
-        key: &[u8],
-        value: Vec<u8>,
-    ) -> Option<Vec<u8>> {
+    fn insert_hashed(&mut self, key_hash: [u8; 32], key: &[u8], value: Vec<u8>) -> Option<Vec<u8>> {
         let Some(mut slot) = self.root.as_mut() else {
             // An empty store: the key becomes the root.
             self.root = Some(Node::leaf(key_hash, key, value));
@@ -430,7 +425,7 @@ impl AuthKv {
     }
 
     /// [`AuthKv::remove`] with the key's SHA-256 already computed.
-    pub fn remove_hashed(&mut self, key_hash: &[u8; 32], key: &[u8]) -> Option<Vec<u8>> {
+    fn remove_hashed(&mut self, key_hash: &[u8; 32], key: &[u8]) -> Option<Vec<u8>> {
         // First descent, read-only: only a stored key changes the trie.
         match self.leaf_for(key_hash)? {
             Node::Leaf { key: found, .. } if **found == *key => self.len -= 1,

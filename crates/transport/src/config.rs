@@ -93,12 +93,11 @@ pub struct ClusterSpec {
     /// core count at boot; `1` runs the replica's inbound checks on its
     /// node thread, `>= 2` on that many worker threads.
     pub verify_threads: usize,
-    /// Execution-pipeline worker threads per replica (`exec_threads N`).
+    /// Where each replica executes committed blocks (`exec_threads N`).
     /// `0` (the default) resolves from the host's core count at boot;
-    /// `1` keeps block execution inline on the node thread (the
-    /// pre-pipeline path, byte-identical); `>= 2` moves whole-block
-    /// execution onto a dedicated executor thread whose wave pool runs
-    /// that many intra-block workers.
+    /// `1` executes in place on the node thread; `>= 2` executes on one
+    /// dedicated executor thread (every width past 1 means that one
+    /// thread). Either way a block runs the same algorithm, op by op.
     pub exec_threads: usize,
     /// Base directory for durable replica state (`data_dir <path>`).
     /// Each replica persists its commit WAL and checkpoint snapshot
@@ -349,25 +348,17 @@ impl ClusterSpec {
     }
 
     /// Resolves `exec_threads` for this host: an explicit value is used
-    /// as-is; `0` (auto) enables the execution pipeline only when the
-    /// host has cores to spare beyond the node thread and the verify
-    /// pool — at least 4, leaving 2 for the executor's wave pool, capped
-    /// at 4 (block-level conflict waves rarely widen past that). Hosts
-    /// with fewer cores resolve to 1, keeping execution inline on the
-    /// node thread — the zero-handoff path is still optimal there.
+    /// as-is; `0` (auto) resolves to 2 (the executor thread) on hosts
+    /// with at least 4 cores, which have one to spare beyond the node
+    /// thread and the verify pool, and to 1 (in place on the node thread)
+    /// otherwise. On a 2-core host the executor thread lost to in-place
+    /// execution with one-put requests; with more cores it is unmeasured.
     pub fn resolved_exec_threads(&self) -> usize {
         if self.exec_threads > 0 {
             return self.exec_threads;
         }
         std::thread::available_parallelism()
-            .map(|cores| {
-                let cores = cores.get();
-                if cores >= 4 {
-                    (cores / 2).clamp(2, 4)
-                } else {
-                    1
-                }
-            })
+            .map(|cores| if cores.get() >= 4 { 2 } else { 1 })
             .unwrap_or(1)
     }
 

@@ -31,8 +31,8 @@ struct Args {
     /// (0 = auto from core count, 1 = checks on the node thread).
     verify_threads: Option<usize>,
     /// Overrides the config file's `exec_threads` directive when set
-    /// (0 = auto from core count, 1 = inline execution on the node
-    /// thread, >= 2 = offloaded with that many wave workers).
+    /// (0 = auto from core count, 1 = execution in place on the node
+    /// thread, >= 2 = on one executor thread).
     exec_threads: Option<usize>,
     /// Serves the node's metrics registry over HTTP when set
     /// (`/metrics` Prometheus text, `/trace` JSON phase spans).
@@ -174,13 +174,17 @@ fn run_replica(spec: &ClusterSpec, r: usize, metrics_addr: Option<&str>) -> Resu
         })
         .collect();
     eprintln!(
-        "replica {r}/{} listening on {} ({:?} profile, {} verify workers, {} exec workers, \
+        "replica {r}/{} listening on {} ({:?} profile, {} verify workers, execution {}, \
          view timers armed)",
         spec.n(),
         runtime.transport().local_addr(),
         spec.profile,
         runtime.verify_threads(),
-        spec.resolved_exec_threads(),
+        if spec.resolved_exec_threads() > 1 {
+            "on the executor thread"
+        } else {
+            "in place"
+        },
     );
     let mut last_report = Instant::now();
     loop {

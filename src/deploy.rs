@@ -30,9 +30,9 @@ use sbft_wire::Wire;
 /// Wraps a replica in its runtime: `verify_threads` workers screen
 /// inbound frames through the replica's verifier (at `<= 1` the node
 /// thread does), and `exec_threads > 1` moves the replica's service to
-/// its own execution thread. Shared by [`replica_runtime`], the chaos
-/// harness, and the benches so every backend builds pipelines the same
-/// way.
+/// its own execution thread (any width past 1 means that one thread).
+/// Shared by [`replica_runtime`], the chaos harness, and the benches so
+/// every backend builds pipelines the same way.
 pub fn replica_runtime_with_pipeline(
     mut replica: ReplicaNode,
     transport: TcpTransport,
@@ -52,12 +52,9 @@ pub fn replica_runtime_with_pipeline(
         // itself).
         let injector = transport.self_injector();
         let payload = SbftMsg::ExecuteReady.to_wire_bytes();
-        replica.offload_execution(
-            exec_threads,
-            Box::new(move || {
-                injector.inject(payload.clone());
-            }),
-        );
+        replica.offload_execution(Box::new(move || {
+            injector.inject(payload.clone());
+        }));
     }
     if verify_threads > 1 {
         // Slot-digest map shared between the replica (publishes digests

@@ -233,9 +233,9 @@ fn four_replica_cluster_commits_with_verify_pipeline() {
 }
 
 /// Acceptance: the cluster with block execution offloaded to a dedicated
-/// executor thread (2 wave workers) commits the full workload on the
+/// executor thread (`exec_threads 2`) commits the full workload on the
 /// direct inbound path — the node thread hands committed blocks to the
-/// pool, parks in its event loop, and is woken by the executor's
+/// executor, parks in its event loop, and is woken by the executor's
 /// self-addressed `ExecuteReady` frame; replies still go out in order
 /// and agreement holds.
 #[test]
@@ -274,9 +274,10 @@ fn four_replica_cluster_commits_with_execution_offload() {
 
 /// Acceptance: both pipelines at once — inbound frames decode and
 /// pre-verify on the verify pool (σ/τ shares recorded against published
-/// slot digests), committed blocks execute on the exec pool, and the
-/// `ExecuteReady` wake flows through the verification pipeline like any
-/// other frame. The node thread is left doing only protocol bookkeeping.
+/// slot digests), committed blocks execute on the executor thread, and
+/// the `ExecuteReady` wake flows through the verification pipeline like
+/// any other frame. The node thread is left doing only protocol
+/// bookkeeping.
 #[test]
 fn four_replica_cluster_commits_with_both_pipelines() {
     const REQUESTS: usize = 30;
