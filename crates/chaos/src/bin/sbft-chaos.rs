@@ -5,7 +5,7 @@
 //! sbft-chaos --plan primary-crash --seed 0xDEAD      # one scenario, both backends
 //! sbft-chaos --plan primary-crash --backend tcp      # real sockets only
 //! sbft-chaos --swarm 32                              # 32-seed sweep + TCP coverage
-//! sbft-chaos --swarm 8 --time-cap 60                 # the CI smoke budget
+//! sbft-chaos --swarm 32 --backend sim --time-cap 60 # the CI sweep
 //! ```
 //!
 //! Every report line carries the exact seed, so any failure replays with

@@ -79,42 +79,6 @@ pub struct ProtocolConfig {
     pub view_timeout: SimDuration,
     /// Checkpoint period (paper: `win/2`).
     pub checkpoint_period: u64,
-    /// Entries per state-transfer chunk.
-    pub state_chunk_entries: usize,
-    /// Retry interval for the startup recovery handshake: a rebooted
-    /// replica re-broadcasts its recovery probe (and clears a stuck
-    /// outstanding state request) until f+1 peers confirm its frontier.
-    pub recovery_retry: SimDuration,
-    /// Execution-pipeline parallelism: block execution runs on the
-    /// machine's spare cores (the paper's replicas have 32 VCPUs and a
-    /// separate execution stage, §VIII/§IX), so only `1/parallelism` of
-    /// its CPU cost lands on the message-processing core.
-    pub execution_parallelism: u64,
-    /// Consecutive fast-path fallbacks a replica tolerates before it
-    /// stops attempting the σ path (§V-E "Trigger" hysteresis).
-    pub fast_probe_fallbacks: u32,
-    /// While the fast path is disengaged, probe it again every this many
-    /// sequence numbers so a healed cluster re-discovers σ commits.
-    pub fast_probe_period: u64,
-    /// Derive `fast_path_timeout`, the collector stagger, and the base
-    /// view timeout from measured commit/σ-completion latency
-    /// (Jacobson/Karels EWMA + variance) instead of the static values
-    /// above. The static values remain the ceilings; the `min_*` fields
-    /// below are the floors.
-    pub adaptive_timers: bool,
-    /// Floor for the adaptive fast-path timeout.
-    pub min_fast_path_timeout: SimDuration,
-    /// Floor for the adaptive collector stagger.
-    pub min_collector_stagger: SimDuration,
-    /// Floor for the adaptive base view-change timeout.
-    pub min_view_timeout: SimDuration,
-    /// Interval between signed replica heartbeats (`ZERO` disables the
-    /// heartbeat/suspicion machinery). Heartbeats to a peer are
-    /// suppressed while real protocol traffic flows to it.
-    pub heartbeat_interval: SimDuration,
-    /// φ-accrual suspicion level at which a silent primary triggers a
-    /// proactive view change (and a silent collector is routed around).
-    pub suspicion_threshold: f64,
 }
 
 impl ProtocolConfig {
@@ -134,22 +98,6 @@ impl ProtocolConfig {
             collector_stagger: SimDuration::from_millis(60),
             view_timeout: SimDuration::from_secs(2),
             checkpoint_period: 128,
-            state_chunk_entries: 4096,
-            recovery_retry: SimDuration::from_millis(500),
-            execution_parallelism: 16,
-            fast_probe_fallbacks: 4,
-            fast_probe_period: 32,
-            adaptive_timers: true,
-            min_fast_path_timeout: SimDuration::from_millis(5),
-            min_collector_stagger: SimDuration::from_millis(2),
-            // The watchdog floor is deliberately lazier than the
-            // heartbeat suspicion path (which catches a dead primary in
-            // ~5 intervals): on an oversubscribed host, scheduler stalls
-            // of a few hundred ms are routine, and a floor below them
-            // turns every hiccup into a view-change storm.
-            min_view_timeout: SimDuration::from_millis(500),
-            heartbeat_interval: SimDuration::from_millis(250),
-            suspicion_threshold: 2.0,
         }
     }
 

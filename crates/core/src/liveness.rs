@@ -8,16 +8,16 @@
 //! loaded cluster view-change-storms, too loose and a wedged primary
 //! costs seconds. This module derives all three from *measured*
 //! latency, Jacobson/Karels style (EWMA of the mean plus EWMA of the
-//! deviation, timeout = srtt + 4·rttvar), clamped between a configured
-//! floor and the static configured value as the ceiling. Until enough
+//! deviation, timeout = srtt + 4·rttvar), clamped between a fixed floor
+//! and the static configured value as the ceiling. Until enough
 //! samples accumulate the static value is used unchanged, so startup
 //! behaves exactly like the static-timer build.
 //!
 //! Alongside the timers live two more estimator-driven policies:
 //!
 //! - [`FastPathHysteresis`]: engage/release thresholds on the observed
-//!   σ-completion rate replace the old hardcoded "4 consecutive
-//!   fallbacks, probe every 32nd sequence" constants.
+//!   σ-completion rate decide whether collectors wait for σ at all; a
+//!   released fast path is still probed every 32nd sequence.
 //! - [`FailureDetector`]: per-peer φ-accrual-style suspicion fed by
 //!   signed heartbeats (and by any real protocol traffic, which
 //!   suppresses redundant heartbeats). Sustained suspicion of the
@@ -32,6 +32,24 @@ use crate::config::ProtocolConfig;
 /// Samples before an estimator's derived timeout is trusted; below
 /// this, callers fall back to the static configured value.
 const WARMUP_SAMPLES: u64 = 8;
+
+/// Floor for the adaptive fast-path timeout.
+const MIN_FAST_PATH_TIMEOUT: SimDuration = SimDuration::from_millis(5);
+
+/// Floor for the adaptive collector stagger.
+const MIN_COLLECTOR_STAGGER: SimDuration = SimDuration::from_millis(2);
+
+/// Floor for the adaptive base view-change timeout. The watchdog floor
+/// is deliberately lazier than the heartbeat suspicion path (which
+/// catches a dead primary in ~5 intervals): on an oversubscribed host,
+/// scheduler stalls of a few hundred ms are routine, and a floor below
+/// them turns every hiccup into a view-change storm.
+const MIN_VIEW_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+
+/// While the fast path is disengaged, it is still attempted on every
+/// sequence number divisible by this, so a healed cluster re-discovers
+/// σ commits.
+const FAST_PROBE_PERIOD: u64 = 32;
 
 /// ln(10), for the φ-accrual conversion from survival probability to
 /// a base-10 suspicion level.
@@ -89,11 +107,6 @@ impl EwmaEstimator {
         )
     }
 
-    /// Number of samples observed.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
     /// True once enough samples accumulated to trust the estimate.
     pub fn warmed_up(&self) -> bool {
         self.samples >= WARMUP_SAMPLES
@@ -140,12 +153,12 @@ impl TimeoutController {
     /// Fast-path timeout: how long a collector holding τ waits for σ
     /// before falling back to linear PBFT (§V-E "Trigger").
     pub fn fast_path_timeout(&self, config: &ProtocolConfig) -> SimDuration {
-        if !config.adaptive_timers || !self.sigma_gap.warmed_up() {
+        if !self.sigma_gap.warmed_up() {
             return config.fast_path_timeout;
         }
         clamp(
             self.sigma_gap.timeout(),
-            config.min_fast_path_timeout,
+            MIN_FAST_PATH_TIMEOUT,
             config.fast_path_timeout,
         )
     }
@@ -153,12 +166,12 @@ impl TimeoutController {
     /// Stagger between redundant collectors: half the expected σ gap
     /// (so a healthy first collector normally acts alone, §V).
     pub fn collector_stagger(&self, config: &ProtocolConfig) -> SimDuration {
-        if !config.adaptive_timers || !self.sigma_gap.warmed_up() {
+        if !self.sigma_gap.warmed_up() {
             return config.collector_stagger;
         }
         clamp(
             SimDuration::from_nanos(self.sigma_gap.timeout().as_nanos() / 2),
-            config.min_collector_stagger,
+            MIN_COLLECTOR_STAGGER,
             config.collector_stagger,
         )
     }
@@ -167,24 +180,14 @@ impl TimeoutController {
     /// latency (doubling per consecutive view change is applied by the
     /// caller, and satellite fix: reset once a view commits progress).
     pub fn view_timeout(&self, config: &ProtocolConfig) -> SimDuration {
-        if !config.adaptive_timers || !self.commit.warmed_up() {
+        if !self.commit.warmed_up() {
             return config.view_timeout;
         }
         clamp(
             self.commit.timeout().saturating_mul(8),
-            config.min_view_timeout,
+            MIN_VIEW_TIMEOUT,
             config.view_timeout,
         )
-    }
-
-    /// The σ-gap estimator (telemetry).
-    pub fn sigma_gap(&self) -> &EwmaEstimator {
-        &self.sigma_gap
-    }
-
-    /// The commit-latency estimator (telemetry).
-    pub fn commit_latency(&self) -> &EwmaEstimator {
-        &self.commit
     }
 }
 
@@ -194,12 +197,12 @@ const ENGAGE_RATE_MILLI: u64 = 600;
 const RELEASE_RATE_MILLI: u64 = 200;
 
 /// Fast-path engage/release hysteresis on the observed σ-completion
-/// rate, replacing the old hardcoded probe constants.
+/// rate.
 ///
 /// The rate is an EWMA (α = 1/8) over per-commit outcomes: 1 when a
 /// block committed via σ, 0 when it fell back to the τ path. Distinct
 /// engage (≥60%) and release (<20%) thresholds prevent flapping at a
-/// boundary. While released, every `fast_probe_period`-th sequence
+/// boundary. While released, every `FAST_PROBE_PERIOD`-th sequence
 /// still probes σ so a healed cluster re-engages.
 #[derive(Debug, Clone)]
 pub struct FastPathHysteresis {
@@ -259,8 +262,8 @@ impl FastPathHysteresis {
         }
     }
 
-    /// Force-release (e.g. after `fast_probe_fallbacks` consecutive
-    /// fast-path timeouts, which is stronger evidence than the rate).
+    /// Force-release (e.g. after a streak of consecutive fast-path
+    /// timeouts, which is stronger evidence than the rate).
     pub fn release(&mut self) {
         self.engaged = false;
         self.probe_streak = 0;
@@ -268,8 +271,8 @@ impl FastPathHysteresis {
     }
 
     /// Whether a given sequence should attempt the σ path.
-    pub fn attempt_fast(&self, seq: u64, config: &ProtocolConfig) -> bool {
-        self.engaged || seq % config.fast_probe_period.max(1) == 0
+    pub fn attempt_fast(&self, seq: u64) -> bool {
+        self.engaged || seq.is_multiple_of(FAST_PROBE_PERIOD)
     }
 
     /// Currently engaged?
@@ -395,15 +398,6 @@ impl FailureDetector {
             .map(|p| p.rtt.mean())
             .unwrap_or(SimDuration::ZERO)
     }
-
-    /// Nanoseconds since `peer` was last heard from (`u64::MAX` if
-    /// never).
-    pub fn silence_ns(&self, peer: usize, now: SimTime) -> u64 {
-        match self.peers.get(peer).and_then(|p| p.last_seen) {
-            Some(seen) => now.since(seen).as_nanos(),
-            None => u64::MAX,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -454,10 +448,10 @@ mod tests {
         let fast = controller.fast_path_timeout(&config);
         // ~2ms steady σ gap: timeout well under the 150ms static value,
         // at or above the 5ms floor.
-        assert!(fast >= config.min_fast_path_timeout, "{fast}");
+        assert!(fast >= MIN_FAST_PATH_TIMEOUT, "{fast}");
         assert!(fast < SimDuration::from_millis(20), "{fast}");
-        assert!(controller.collector_stagger(&config) >= config.min_collector_stagger);
-        assert!(controller.view_timeout(&config) >= config.min_view_timeout);
+        assert!(controller.collector_stagger(&config) >= MIN_COLLECTOR_STAGGER);
+        assert!(controller.view_timeout(&config) >= MIN_VIEW_TIMEOUT);
 
         // A latency spike inflates variance and thus the timeout.
         let before = controller.fast_path_timeout(&config);
@@ -478,18 +472,17 @@ mod tests {
 
     #[test]
     fn hysteresis_releases_and_reengages() {
-        let config = cfg();
         let mut h = FastPathHysteresis::new();
         assert!(h.engaged());
-        assert!(h.attempt_fast(7, &config));
+        assert!(h.attempt_fast(7));
         // Sustained fallbacks release the fast path...
         for _ in 0..32 {
             h.observe(false);
         }
         assert!(!h.engaged());
         // ...but probe sequences still try σ.
-        assert!(!h.attempt_fast(7, &config));
-        assert!(h.attempt_fast(2 * config.fast_probe_period, &config));
+        assert!(!h.attempt_fast(7));
+        assert!(h.attempt_fast(2 * FAST_PROBE_PERIOD));
         // Sustained σ success re-engages.
         for _ in 0..32 {
             h.observe(true);

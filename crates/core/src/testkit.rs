@@ -365,15 +365,6 @@ impl Cluster {
         self.replica_mut(r).set_behavior(behavior);
     }
 
-    /// Crashes `count` replicas at `at`, skipping replica 0 (the initial
-    /// primary) as the paper's failure benchmarks do.
-    pub fn crash_backups(&mut self, count: usize, at: sbft_sim::SimTime) {
-        for r in 1..=count {
-            assert!(r < self.n, "cannot crash that many backups");
-            self.sim.schedule_crash(r, at);
-        }
-    }
-
     /// Total completed client requests.
     pub fn total_completed(&self) -> u64 {
         self.sim.metrics().counter("client_completed")
@@ -915,6 +906,36 @@ mod tests {
             "through a completed state transfer"
         );
         cluster.assert_agreement();
+    }
+
+    /// A replica that falls behind a new view's stable checkpoint must
+    /// fetch that state from a replica that has it. It used to ask its
+    /// successor, `(id + 1) % n`: here that is the crashed old primary,
+    /// no answer ever came, and without the lagging replica's τ share
+    /// the new views could not commit.
+    #[test]
+    fn lagging_replica_fetches_new_view_state_from_a_live_replica() {
+        let mut config = ClusterConfig::small(1, 0, VariantFlags::SBFT);
+        config.protocol.checkpoint_period = 8;
+        config.protocol.window = 16;
+        config.workload = Workload::KvPut {
+            requests: 400,
+            ops_per_request: 1,
+            key_space: 64,
+            value_len: 16,
+        };
+        let mut cluster = Cluster::build(config);
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        cluster
+            .sim
+            .network_mut()
+            .set_node_deaf(3, at(200), at(1500));
+        cluster.sim.schedule_crash(0, at(1500));
+        cluster.sim.start();
+        cluster.sim.run_until(at(1500) + SimDuration::from_secs(30));
+        cluster.assert_agreement();
+        assert!(cluster.sim.metrics().counter("state_transfers_completed") > 0);
+        assert_eq!(cluster.total_completed(), 800, "every request completes");
     }
 
     #[test]

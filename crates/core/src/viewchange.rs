@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use sbft_types::{Digest, SeqNum, ViewNum};
+use sbft_types::{Digest, ReplicaId, SeqNum, ViewNum};
 
 use sbft_crypto::sha256;
 use sbft_wire::Wire;
@@ -57,8 +57,9 @@ pub struct NewViewPlan {
     pub view: ViewNum,
     /// The adopted stable sequence number (highest proven checkpoint).
     pub stable: SeqNum,
-    /// The checkpoint proof backing `stable`, if any.
-    pub stable_checkpoint: Option<(Digest, sbft_crypto::Signature)>,
+    /// The replica whose view-change message proved `stable`: it holds
+    /// that checkpoint's state, so a replica behind it fetches it there.
+    pub stable_from: ReplicaId,
     /// Per-slot decisions for `stable+1 ..= max evidenced slot`.
     pub decisions: Vec<(SeqNum, SlotDecision)>,
 }
@@ -160,11 +161,11 @@ pub fn compute_plan(
     quorum.truncate(config.view_change_quorum());
 
     // ls := the highest proven stable sequence.
-    let (stable, stable_checkpoint) = quorum
+    let proof = quorum
         .iter()
-        .map(|vc| (vc.last_stable, vc.checkpoint.clone()))
-        .max_by_key(|(ls, _)| *ls)
-        .unwrap_or((SeqNum::ZERO, None));
+        .max_by_key(|vc| vc.last_stable)
+        .expect("a view-change quorum is not empty");
+    let stable = proof.last_stable;
 
     let max_seq = quorum
         .iter()
@@ -181,7 +182,7 @@ pub fn compute_plan(
     Some(NewViewPlan {
         view,
         stable,
-        stable_checkpoint,
+        stable_from: proof.from,
         decisions,
     })
 }
@@ -656,7 +657,7 @@ mod tests {
         assert!(validate_view_change(&keys.public, &vcs[4]));
         let plan = compute_plan(&config, view, &vcs).unwrap();
         assert_eq!(plan.stable, SeqNum::new(5));
-        assert!(plan.stable_checkpoint.is_some());
+        assert_eq!(plan.stable_from, vcs[4].from, "the prover holds the state");
     }
 
     #[test]

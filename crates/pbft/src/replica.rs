@@ -20,6 +20,11 @@ const TIMER_BATCH: u64 = 1;
 const TIMER_WATCHDOG: u64 = 2;
 const TIMER_VC_RETRY: u64 = 3;
 
+/// Execution-stage parallelism, as in the SBFT replica: only
+/// `1/EXECUTION_PARALLELISM` of a block's execution cost lands on the
+/// message-processing core.
+const EXECUTION_PARALLELISM: u64 = 16;
+
 /// PBFT cluster parameters: `n = 3f + 1`.
 #[derive(Debug, Clone)]
 pub struct PbftConfig {
@@ -37,9 +42,6 @@ pub struct PbftConfig {
     pub checkpoint_period: u64,
     /// View-change timeout base.
     pub view_timeout: sbft_sim::SimDuration,
-    /// Execution-pipeline parallelism (mirrors
-    /// `sbft_core::ProtocolConfig::execution_parallelism`).
-    pub execution_parallelism: u64,
 }
 
 impl PbftConfig {
@@ -53,7 +55,6 @@ impl PbftConfig {
             batch_delay: sbft_sim::SimDuration::from_millis(5),
             checkpoint_period: 128,
             view_timeout: sbft_sim::SimDuration::from_secs(2),
-            execution_parallelism: 16,
         }
     }
 
@@ -529,7 +530,7 @@ impl PbftReplica {
             let requests = slot.requests.clone().expect("committed slot has requests");
             let ops: Vec<Vec<u8>> = requests.iter().map(|r| r.op.clone()).collect();
             let exec = self.service.execute_block(next, &ops);
-            ctx.charge_cpu_ns(exec.cpu_cost_ns / self.config.execution_parallelism.max(1));
+            ctx.charge_cpu_ns(exec.cpu_cost_ns / EXECUTION_PARALLELISM);
             self.last_executed = next;
             self.vc_attempts = 0;
             for (l, request) in requests.iter().enumerate() {
