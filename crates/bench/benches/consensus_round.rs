@@ -5,7 +5,7 @@ use std::hint::black_box;
 
 use sbft_bench::micro::Bench;
 use sbft_core::{Cluster, ClusterConfig, VariantFlags, Workload};
-use sbft_pbft::{PbftCluster, PbftClusterConfig, PbftWorkload};
+use sbft_pbft::{PbftCluster, PbftClusterConfig};
 use sbft_sim::SimDuration;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
         b.iter(|| {
             let mut config = PbftClusterConfig::small(1);
             config.clients = 1;
-            config.workload = PbftWorkload::KvPut {
+            config.workload = Workload::KvPut {
                 requests: 1,
                 ops_per_request: 1,
                 key_space: 4,

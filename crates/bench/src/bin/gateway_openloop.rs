@@ -24,18 +24,11 @@
 //! the acceptance bar: at 2x the saturation rate, goodput holds >= 70%
 //! of peak and the excess is shed explicitly rather than collapsing.
 
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
-use sbft::deploy::{
-    gateway_runtime, loopback_config_with_gateway, replica_backlog, replica_runtime,
-};
+use sbft::deploy::{replica_backlog, LoopbackCluster};
 use sbft::gateway::{AdmissionConfig, OpenLoopConfig, OpenLoopDriver, OpenLoopStats};
 use sbft::sim::SampleStats;
-use sbft::transport::ClusterSpec;
 use sbft_bench::trajectory::Trajectory;
 
 struct Args {
@@ -94,17 +87,6 @@ fn parse_args() -> Args {
     args
 }
 
-fn bind(count: usize) -> (Vec<TcpListener>, Vec<String>) {
-    let listeners: Vec<TcpListener> = (0..count)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    let addrs = listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr").to_string())
-        .collect();
-    (listeners, addrs)
-}
-
 /// One measured sweep point.
 struct Point {
     offered_rate: u64,
@@ -135,52 +117,21 @@ fn main() {
     let n = 3 * f + 1;
     let seed = 0x9a7e;
 
-    let (replica_listeners, replica_addrs) = bind(n);
-    let (mut gateway_listeners, gateway_addrs) = bind(1);
-    let text = loopback_config_with_gateway(
-        f,
-        0,
-        seed,
-        &replica_addrs,
-        &[],
-        &gateway_addrs[0],
-        args.sessions,
-    );
-    let spec = ClusterSpec::parse(&text).expect("generated config parses");
-
-    let done = Arc::new(AtomicBool::new(false));
-    let mut replica_threads = Vec::new();
-    for (r, listener) in replica_listeners.into_iter().enumerate() {
-        let spec = spec.clone();
-        let done = Arc::clone(&done);
-        replica_threads.push(
-            thread::Builder::new()
-                .name(format!("replica-{r}"))
-                .spawn(move || {
-                    let mut runtime =
-                        replica_runtime(&spec, r, Some(listener)).expect("replica boots");
-                    while !done.load(Ordering::Acquire) {
-                        runtime.poll(Duration::from_millis(20));
-                    }
-                })
-                .expect("spawn replica thread"),
-        );
-    }
+    let mut cluster =
+        LoopbackCluster::start(f, 0, seed, 0, Some(args.sessions), "").expect("cluster boots");
 
     // Registration is the session-ticket pass: all logical clients derive
     // their keys once, here, through the memoized cache.
     let registered = Instant::now();
-    let mut gateway = gateway_runtime(
-        &spec,
-        0,
-        AdmissionConfig::default(),
-        OpenLoopConfig {
-            arrivals_per_sec: args.rate_start,
-            ..OpenLoopConfig::default()
-        },
-        gateway_listeners.pop(),
-    )
-    .expect("gateway boots");
+    let mut gateway = cluster
+        .gateway(
+            AdmissionConfig::default(),
+            OpenLoopConfig {
+                arrivals_per_sec: args.rate_start,
+                ..OpenLoopConfig::default()
+            },
+        )
+        .expect("gateway boots");
     eprintln!(
         "registered {} sessions in {:.2}s; sweeping {} points x{:?} from {}/s",
         args.sessions,
@@ -264,10 +215,7 @@ fn main() {
         rate *= 2;
     }
 
-    done.store(true, Ordering::Release);
-    for t in replica_threads {
-        t.join().expect("replica thread exits cleanly");
-    }
+    cluster.stop(|_, _| ()).expect("replicas stop");
 
     // The curve's shape: peak goodput, where it saturates, and how much
     // survives at double that offered load.

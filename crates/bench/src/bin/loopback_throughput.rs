@@ -21,17 +21,17 @@
 //! count, git revision) so successive PRs can be compared; CI uploads it
 //! as an artifact.
 
-use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use sbft::core::{ClientNode, ReplicaNode};
-use sbft::deploy::{client_runtime, loopback_config, replica_runtime, ClientWorkload};
+use sbft::deploy::{client_runtime, ClientWorkload, LoopbackCluster};
 use sbft::sim::SampleStats;
 use sbft::telemetry::HistogramSnapshot;
-use sbft::transport::ClusterSpec;
+use sbft::transport::{TransportStats, VerifyPoolStats};
+use sbft::types::ViewNum;
 use sbft_bench::trajectory::Trajectory;
 
 struct Args {
@@ -147,17 +147,6 @@ fn parse_args() -> Args {
     args
 }
 
-fn bind(count: usize) -> (Vec<TcpListener>, Vec<String>) {
-    let listeners: Vec<TcpListener> = (0..count)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    let addrs = listeners
-        .iter()
-        .map(|l| l.local_addr().expect("addr").to_string())
-        .collect();
-    (listeners, addrs)
-}
-
 /// Process CPU time in clock ticks (utime + stime from /proc/self/stat),
 /// `None` off Linux. Covers every thread of the process — replicas,
 /// clients, transport and verification workers — which is exactly the
@@ -231,6 +220,20 @@ struct Point {
     adaptive_view_timeout_ms: f64,
 }
 
+/// What each replica's runtime holds when its sweep point ends.
+struct ReplicaExit {
+    view: ViewNum,
+    executed: u64,
+    fast: u64,
+    slow: u64,
+    stats: TransportStats,
+    pool: VerifyPoolStats,
+    components: Vec<(&'static str, HistogramSnapshot)>,
+    view_changes: u64,
+    /// The adaptive σ-path and view timeouts (ms).
+    adaptive_timers: (f64, f64),
+}
+
 /// Folds the per-replica tracer snapshots into one `(component, mean µs,
 /// worst p99 µs)` row per phase. The mean merge is exact (sums and
 /// counts add); p99 across replicas is reported as the worst replica's,
@@ -269,8 +272,6 @@ fn fold_phases(
 
 /// One sweep point: boots a fresh cluster, measures a window.
 fn measure(clients: usize, args: &Args) -> Point {
-    let (replica_listeners, replica_addrs) = bind(4);
-    let (client_listeners, client_addrs) = bind(clients);
     let durability = match &args.data_dir {
         Some(base) => match &args.fsync {
             Some(policy) => format!("data_dir {base}/c{clients}\nfsync {policy}\n"),
@@ -278,13 +279,16 @@ fn measure(clients: usize, args: &Args) -> Point {
         },
         None => String::new(),
     };
-    let config_text = format!(
-        "verify_threads {}\nexec_threads {}\n{durability}{}",
-        args.verify_threads,
-        args.exec_threads,
-        loopback_config(1, 0, 0x5bf7, &replica_addrs, &client_addrs),
+    let directives = format!(
+        "verify_threads {}\nexec_threads {}\n{durability}",
+        args.verify_threads, args.exec_threads,
     );
-    let spec = ClusterSpec::parse(&config_text).expect("config parses");
+    let mut cluster =
+        LoopbackCluster::start(1, 0, 0x5bf7, clients, None, &directives).expect("cluster boots");
+    for r in 0..4 {
+        cluster.registry(r).tracer().set_enabled(args.trace);
+    }
+    let spec = cluster.spec().clone();
     let verify_threads_used = if spec.resolved_verify_threads() > 1 {
         spec.resolved_verify_threads()
     } else {
@@ -298,55 +302,12 @@ fn measure(clients: usize, args: &Args) -> Point {
 
     let done = Arc::new(AtomicBool::new(false));
     let mut threads = Vec::new();
-    let mut replica_threads = Vec::new();
-    for (r, listener) in replica_listeners.into_iter().enumerate() {
-        let spec = spec.clone();
-        let done = Arc::clone(&done);
-        let trace = args.trace;
-        replica_threads.push(
-            thread::Builder::new()
-                .name(format!("replica-{r}"))
-                .spawn(move || {
-                    let mut runtime = replica_runtime(&spec, r, Some(listener)).expect("replica");
-                    runtime.registry().tracer().set_enabled(trace);
-                    while !done.load(Ordering::Acquire) {
-                        runtime.poll(Duration::from_millis(10));
-                    }
-                    let stats = runtime.transport().control().stats();
-                    if std::env::var("SBFT_LABELS").is_ok() {
-                        let mut labels: Vec<_> = runtime.metrics().labels().collect();
-                        labels.sort_by_key(|(_, n, _)| std::cmp::Reverse(*n));
-                        eprintln!("  replica {r} sends by label: {labels:?}");
-                    }
-                    let pool = runtime.verify_pool_stats();
-                    let components = runtime.registry().tracer().component_snapshots();
-                    let vc_started = runtime.metrics().counter("view_changes_started");
-                    let node = runtime.node_as::<ReplicaNode>().expect("replica node");
-                    let adaptive = (
-                        node.adaptive_fast_timeout().as_millis_f64(),
-                        node.adaptive_view_timeout().as_millis_f64(),
-                    );
-                    (
-                        r,
-                        node.view(),
-                        node.last_executed().get(),
-                        runtime.metrics().counter("fast_commits"),
-                        runtime.metrics().counter("slow_commits"),
-                        stats,
-                        pool,
-                        components,
-                        vc_started,
-                        adaptive,
-                    )
-                })
-                .expect("spawn replica"),
-        );
-    }
 
     // Clients publish every completed request's latency; the main thread
     // snapshots the vector at the warmup and window edges.
     let latencies = Arc::new(Mutex::new(Vec::<f64>::new()));
-    for (c, listener) in client_listeners.into_iter().enumerate() {
+    for c in 0..clients {
+        let listener = cluster.take_client_listener(c);
         let spec = spec.clone();
         let done = Arc::clone(&done);
         let latencies = Arc::clone(&latencies);
@@ -359,7 +320,7 @@ fn measure(clients: usize, args: &Args) -> Point {
                         ..ClientWorkload::default()
                     };
                     let mut runtime =
-                        client_runtime(&spec, c, &workload, Some(listener)).expect("client");
+                        client_runtime(&spec, c, &workload, listener).expect("client");
                     let mut reported = 0usize;
                     while !done.load(Ordering::Acquire) {
                         runtime.poll(Duration::from_millis(10));
@@ -395,21 +356,42 @@ fn measure(clients: usize, args: &Args) -> Point {
     for t in threads {
         t.join().expect("node thread");
     }
-    let mut per_replica_phases = Vec::new();
-    let mut view_changes = 0u64;
-    let mut adaptive_timers = (0.0, 0.0);
-    for t in replica_threads {
-        let (r, view, executed, fast, slow, stats, pool, components, vc_started, adaptive) =
-            t.join().expect("replica thread");
-        per_replica_phases.push(components);
-        view_changes += vc_started;
-        if r == 0 {
-            adaptive_timers = adaptive;
-        }
-        if args.verbose {
+    let replicas = cluster
+        .stop(|r, runtime| {
+            if std::env::var("SBFT_LABELS").is_ok() {
+                let mut labels: Vec<_> = runtime.metrics().labels().collect();
+                labels.sort_by_key(|(_, n, _)| std::cmp::Reverse(*n));
+                eprintln!("  replica {r} sends by label: {labels:?}");
+            }
+            let node = runtime.node_as::<ReplicaNode>().expect("replica node");
+            ReplicaExit {
+                view: node.view(),
+                executed: node.last_executed().get(),
+                fast: runtime.metrics().counter("fast_commits"),
+                slow: runtime.metrics().counter("slow_commits"),
+                stats: runtime.transport().control().stats(),
+                pool: runtime.verify_pool_stats(),
+                components: runtime.registry().tracer().component_snapshots(),
+                view_changes: runtime.metrics().counter("view_changes_started"),
+                adaptive_timers: (
+                    node.adaptive_fast_timeout().as_millis_f64(),
+                    node.adaptive_view_timeout().as_millis_f64(),
+                ),
+            }
+        })
+        .expect("replicas stop");
+    let view_changes = replicas.iter().map(|x| x.view_changes).sum();
+    let adaptive_timers = replicas[0].adaptive_timers;
+    if args.verbose {
+        for (r, x) in replicas.iter().enumerate() {
+            let (stats, pool) = (&x.stats, &x.pool);
             eprintln!(
-                "  replica {r}: view {view} executed {executed} fast {fast} slow {slow} | \
+                "  replica {r}: view {} executed {} fast {} slow {} | \
                  tx {} frames/{} B rx {} frames/{} B, {} connects, {} dropped, {} hs-rejects",
+                x.view,
+                x.executed,
+                x.fast,
+                x.slow,
                 stats.frames_sent,
                 stats.bytes_sent,
                 stats.frames_received,
@@ -430,6 +412,7 @@ fn measure(clients: usize, args: &Args) -> Point {
             );
         }
     }
+    let per_replica_phases = replicas.into_iter().map(|x| x.components).collect();
     let committed = window_latencies.len() as u64;
     // The simulator's stats helper keeps the percentile definition
     // identical across the sim and wire trajectories.

@@ -1,12 +1,14 @@
 //! Builds and runs one benchmark configuration on either protocol stack,
 //! returning the measurements shared by all figures.
 
-use sbft_core::{Cluster, ClusterConfig, VariantFlags, Workload};
+use sbft_core::{Cluster, ClusterConfig, ProtocolConfig, TimerBundle, VariantFlags, Workload};
 use sbft_crypto::CryptoCostModel;
 use sbft_evm::{batch_trace, generate_eth_trace, EthTraceConfig, EvmService};
-use sbft_pbft::{PbftCluster, PbftClusterConfig, PbftConfig, PbftWorkload};
-use sbft_sim::{NetworkConfig, SampleStats, SimDuration, SimTime, Topology};
-use sbft_statedb::{KvService, RawOp};
+use sbft_pbft::{PbftCluster, PbftClusterConfig, PbftConfig};
+use sbft_sim::{
+    NetworkConfig, SampleStats, SimDuration, SimMessage, SimTime, Simulation, Topology,
+};
+use sbft_statedb::{KvService, RawOp, Service};
 
 /// The five protocol variants of the §IX ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,21 +250,18 @@ pub struct ExperimentResult {
     pub fast_path_fraction: f64,
 }
 
-fn wan_protocol_tuning(protocol: &mut sbft_core::ProtocolConfig, topology: TopologyKind) {
+/// The round-trip-scaled timers of a topology (`None` keeps the
+/// protocol defaults).
+fn timers(topology: TopologyKind) -> Option<TimerBundle> {
     match topology {
-        TopologyKind::World => {
-            protocol.fast_path_timeout = SimDuration::from_millis(700);
-            protocol.collector_stagger = SimDuration::from_millis(250);
-            protocol.view_timeout = SimDuration::from_secs(20);
-            protocol.batch_delay = SimDuration::from_millis(20);
-        }
-        TopologyKind::Continent => {
-            protocol.fast_path_timeout = SimDuration::from_millis(250);
-            protocol.collector_stagger = SimDuration::from_millis(90);
-            protocol.view_timeout = SimDuration::from_secs(10);
-            protocol.batch_delay = SimDuration::from_millis(10);
-        }
-        TopologyKind::Lan => {}
+        TopologyKind::World => Some(TimerBundle {
+            fast_path_timeout: SimDuration::from_millis(700),
+            collector_stagger: SimDuration::from_millis(250),
+            view_timeout: SimDuration::from_secs(20),
+            batch_delay: SimDuration::from_millis(20),
+        }),
+        TopologyKind::Continent => Some(TimerBundle::CONTINENTAL),
+        TopologyKind::Lan => None,
     }
 }
 
@@ -274,7 +273,8 @@ pub fn run_experiment(spec: &ExperimentSpec) -> ExperimentResult {
     }
 }
 
-fn ops_and_workload_sbft(spec: &ExperimentSpec) -> (f64, Workload) {
+/// Operations (or transactions) per request, and the clients' workload.
+fn ops_and_workload(spec: &ExperimentSpec) -> (f64, Workload) {
     match &spec.service {
         ServiceKind::Kv { ops_per_request } => (
             *ops_per_request as f64,
@@ -295,13 +295,28 @@ fn ops_and_workload_sbft(spec: &ExperimentSpec) -> (f64, Workload) {
     }
 }
 
+fn client_retry(topology: TopologyKind) -> SimDuration {
+    match topology {
+        TopologyKind::World => SimDuration::from_millis(4_000),
+        _ => SimDuration::from_millis(1_500),
+    }
+}
+
+fn service_factory(service: &ServiceKind) -> Box<dyn Fn() -> Box<dyn Service>> {
+    match service {
+        ServiceKind::Eth { .. } => Box::new(|| Box::new(EvmService::new())),
+        ServiceKind::Kv { .. } => Box::new(|| Box::new(KvService::new())),
+    }
+}
+
 fn run_sbft(spec: &ExperimentSpec) -> ExperimentResult {
     let c = spec.variant.c_for(spec.f);
-    let mut protocol = sbft_core::ProtocolConfig::new(spec.f, c, spec.variant.flags());
-    wan_protocol_tuning(&mut protocol, spec.topology);
-    let (ops_per_request, workload) = ops_and_workload_sbft(spec);
-    let is_eth = matches!(spec.service, ServiceKind::Eth { .. });
-    let config = ClusterConfig {
+    let mut protocol = ProtocolConfig::new(spec.f, c, spec.variant.flags());
+    if let Some(timers) = timers(spec.topology) {
+        protocol.set_timers(timers);
+    }
+    let (ops_per_request, workload) = ops_and_workload(spec);
+    let mut cluster = Cluster::build(ClusterConfig {
         protocol,
         clients: spec.clients,
         workload,
@@ -309,48 +324,73 @@ fn run_sbft(spec: &ExperimentSpec) -> ExperimentResult {
         machines_per_region: spec.machines_per_region,
         network: NetworkConfig::default(),
         cost: CryptoCostModel::default(),
-        client_retry: match spec.topology {
-            TopologyKind::World => SimDuration::from_millis(4_000),
-            _ => SimDuration::from_millis(1_500),
-        },
+        client_retry: client_retry(spec.topology),
         seed: spec.seed,
         trace: false,
         gateway: false,
-        service_factory: if is_eth {
-            Box::new(|| Box::new(EvmService::new()))
-        } else {
-            Box::new(|| Box::new(KvService::new()))
-        },
-    };
-    let mut cluster = Cluster::build(config);
-    let n = cluster.n;
+        service_factory: service_factory(&spec.service),
+    });
+    let result = measure(spec, cluster.n, &mut cluster.sim, ops_per_request);
+    cluster.assert_agreement();
+    result
+}
+
+fn run_pbft(spec: &ExperimentSpec) -> ExperimentResult {
+    let mut protocol = PbftConfig::new(spec.f);
+    if let Some(timers) = timers(spec.topology) {
+        protocol.view_timeout = timers.view_timeout;
+        protocol.batch_delay = timers.batch_delay;
+    }
+    let (ops_per_request, workload) = ops_and_workload(spec);
+    let mut cluster = PbftCluster::build(PbftClusterConfig {
+        protocol,
+        clients: spec.clients,
+        workload,
+        topology: spec.topology.build(),
+        machines_per_region: spec.machines_per_region,
+        network: NetworkConfig::default(),
+        cost: CryptoCostModel::default(),
+        client_retry: client_retry(spec.topology),
+        seed: spec.seed,
+        trace: false,
+        service_factory: service_factory(&spec.service),
+    });
+    let result = measure(spec, cluster.n, &mut cluster.sim, ops_per_request);
+    cluster.assert_agreement();
+    result
+}
+
+/// Runs a built cluster of `n` replicas through one experiment point:
+/// crashes `spec.failures` backups and slows the next `spec.stragglers`
+/// at t = 0, warms up, then measures the window. PBFT commits count
+/// neither as fast nor as slow, so its fast-path fraction reads 0.
+fn measure<M: SimMessage>(
+    spec: &ExperimentSpec,
+    n: usize,
+    sim: &mut Simulation<M>,
+    ops_per_request: f64,
+) -> ExperimentResult {
     for r in 1..=spec.failures {
-        cluster.sim.schedule_crash(r, SimTime::ZERO);
+        sim.schedule_crash(r, SimTime::ZERO);
     }
     for s in 0..spec.stragglers {
         let node = spec.failures + 1 + s;
-        cluster
-            .sim
-            .network_mut()
+        sim.network_mut()
             .set_node_extra_delay(node, SimDuration::from_millis(150));
     }
-    cluster.sim.start();
-    cluster.sim.run_for(spec.warmup);
-    let warm_completed = cluster.total_completed();
-    let warm_samples = cluster.sim.metrics().sample_snapshot("latency_ms");
-    let warm_msgs = cluster.sim.metrics().messages_sent();
-    let warm_bytes = cluster.sim.metrics().bytes_sent();
-    cluster.sim.run_for(spec.measure);
-    let completed = cluster.total_completed() - warm_completed;
+    sim.start();
+    sim.run_for(spec.warmup);
+    let warm_completed = sim.metrics().counter("client_completed");
+    let warm_samples = sim.metrics().sample_snapshot("latency_ms");
+    let warm_msgs = sim.metrics().messages_sent();
+    let warm_bytes = sim.metrics().bytes_sent();
+    sim.run_for(spec.measure);
+    let metrics = sim.metrics();
+    let completed = metrics.counter("client_completed") - warm_completed;
     let seconds = spec.measure.as_secs_f64();
-    let samples = cluster
-        .sim
-        .metrics()
-        .sample_snapshot("latency_ms")
-        .since(&warm_samples);
-    let fast = cluster.sim.metrics().counter("fast_commits") as f64;
-    let slow = cluster.sim.metrics().counter("slow_commits") as f64;
-    cluster.assert_agreement();
+    let samples = metrics.sample_snapshot("latency_ms").since(&warm_samples);
+    let fast = metrics.counter("fast_commits") as f64;
+    let slow = metrics.counter("slow_commits") as f64;
     ExperimentResult {
         variant: spec.variant.name(),
         n,
@@ -359,106 +399,13 @@ fn run_sbft(spec: &ExperimentSpec) -> ExperimentResult {
         throughput_ops: completed as f64 * ops_per_request / seconds,
         throughput_requests: completed as f64 / seconds,
         latency: SampleStats::from_sample_snapshot(&samples),
-        msgs_per_request: delta_per(cluster.sim.metrics().messages_sent() - warm_msgs, completed),
-        bytes_per_request: delta_per(cluster.sim.metrics().bytes_sent() - warm_bytes, completed),
+        msgs_per_request: delta_per(metrics.messages_sent() - warm_msgs, completed),
+        bytes_per_request: delta_per(metrics.bytes_sent() - warm_bytes, completed),
         fast_path_fraction: if fast + slow > 0.0 {
             fast / (fast + slow)
         } else {
             0.0
         },
-    }
-}
-
-fn run_pbft(spec: &ExperimentSpec) -> ExperimentResult {
-    let mut protocol = PbftConfig::new(spec.f);
-    match spec.topology {
-        TopologyKind::World => {
-            protocol.view_timeout = SimDuration::from_secs(20);
-            protocol.batch_delay = SimDuration::from_millis(20);
-        }
-        TopologyKind::Continent => {
-            protocol.view_timeout = SimDuration::from_secs(10);
-            protocol.batch_delay = SimDuration::from_millis(10);
-        }
-        TopologyKind::Lan => {}
-    }
-    let (ops_per_request, workload) = match &spec.service {
-        ServiceKind::Kv { ops_per_request } => (
-            *ops_per_request as f64,
-            PbftWorkload::KvPut {
-                requests: usize::MAX / 2,
-                ops_per_request: *ops_per_request,
-                key_space: 1_000_000,
-                value_len: 16,
-            },
-        ),
-        ServiceKind::Eth {
-            batches_per_client,
-            txs_per_request,
-        } => (
-            *txs_per_request,
-            PbftWorkload::Explicit(batches_per_client.clone()),
-        ),
-    };
-    let is_eth = matches!(spec.service, ServiceKind::Eth { .. });
-    let config = PbftClusterConfig {
-        protocol,
-        clients: spec.clients,
-        workload,
-        topology: spec.topology.build(),
-        machines_per_region: spec.machines_per_region,
-        network: NetworkConfig::default(),
-        cost: CryptoCostModel::default(),
-        client_retry: match spec.topology {
-            TopologyKind::World => SimDuration::from_millis(4_000),
-            _ => SimDuration::from_millis(1_500),
-        },
-        seed: spec.seed,
-        trace: false,
-        service_factory: if is_eth {
-            Box::new(|| Box::new(EvmService::new()))
-        } else {
-            Box::new(|| Box::new(KvService::new()))
-        },
-    };
-    let mut cluster = PbftCluster::build(config);
-    let n = cluster.n;
-    for r in 1..=spec.failures {
-        cluster.sim.schedule_crash(r, SimTime::ZERO);
-    }
-    for s in 0..spec.stragglers {
-        let node = spec.failures + 1 + s;
-        cluster
-            .sim
-            .network_mut()
-            .set_node_extra_delay(node, SimDuration::from_millis(150));
-    }
-    cluster.sim.start();
-    cluster.sim.run_for(spec.warmup);
-    let warm_completed = cluster.total_completed();
-    let warm_samples = cluster.sim.metrics().sample_snapshot("latency_ms");
-    let warm_msgs = cluster.sim.metrics().messages_sent();
-    let warm_bytes = cluster.sim.metrics().bytes_sent();
-    cluster.sim.run_for(spec.measure);
-    let completed = cluster.total_completed() - warm_completed;
-    let seconds = spec.measure.as_secs_f64();
-    let samples = cluster
-        .sim
-        .metrics()
-        .sample_snapshot("latency_ms")
-        .since(&warm_samples);
-    cluster.assert_agreement();
-    ExperimentResult {
-        variant: spec.variant.name(),
-        n,
-        clients: spec.clients,
-        completed_requests: completed,
-        throughput_ops: completed as f64 * ops_per_request / seconds,
-        throughput_requests: completed as f64 / seconds,
-        latency: SampleStats::from_sample_snapshot(&samples),
-        msgs_per_request: delta_per(cluster.sim.metrics().messages_sent() - warm_msgs, completed),
-        bytes_per_request: delta_per(cluster.sim.metrics().bytes_sent() - warm_bytes, completed),
-        fast_path_fraction: 0.0,
     }
 }
 

@@ -11,20 +11,16 @@
 
 use std::collections::HashMap;
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use sbft_core::{
-    make_client, make_replica, Behavior, ClientNode, KeyMaterial, ProtocolConfig,
-    ReplicaDurability, ReplicaNode, ReplicaSnapshot, Workload,
+use sbft::deploy::{
+    client_runtime, protocol_for, replica_data_dir, replica_runtime_with_protocol, ClientWorkload,
 };
-use sbft_crypto::CryptoCostModel;
+use sbft_core::{Behavior, ClientNode, ProtocolConfig, ReplicaNode, ReplicaSnapshot, SbftMsg};
 use sbft_gateway::{AdmissionConfig, GatewayCore, GatewayNode};
-use sbft_sim::SimDuration;
-use sbft_statedb::{FsyncPolicy, KvService};
 use sbft_transport::{ClusterSpec, NodeRuntime, TcpTransport, TransportProfile, VariantName};
 
 use crate::plan::{timeline, Fault, FaultPlan, Step};
@@ -73,19 +69,15 @@ impl NodeHandle {
     }
 }
 
-fn node_seed(seed: u64, node: usize) -> u64 {
-    seed ^ (node as u64).wrapping_mul(0x9e3779b97f4a7c15)
-}
+type Runtime = NodeRuntime<SbftMsg>;
 
-fn drive<M>(
+fn drive(
     stop: &AtomicBool,
     cmds: &mpsc::Receiver<NodeCmd>,
     progress: &AtomicU64,
-    runtime: &mut NodeRuntime<M>,
-    observe: impl Fn(&NodeRuntime<M>) -> u64,
-) where
-    M: sbft_sim::SimMessage + sbft_wire::Wire,
-{
+    runtime: &mut Runtime,
+    observe: fn(&Runtime) -> u64,
+) {
     let mut process_delay = Duration::ZERO;
     while !stop.load(Ordering::Acquire) {
         while let Ok(cmd) = cmds.try_recv() {
@@ -114,214 +106,150 @@ fn drive<M>(
     }
 }
 
-fn tracked_counters<M: sbft_sim::SimMessage + sbft_wire::Wire>(
-    runtime: &NodeRuntime<M>,
-) -> HashMap<String, u64> {
-    TRACKED_COUNTERS
-        .iter()
-        .map(|key| ((*key).to_string(), runtime.metrics().counter(key)))
-        .collect()
+impl NodeExit {
+    /// The exit of a node that is no replica and counts no completions.
+    fn of(runtime: &Runtime) -> NodeExit {
+        NodeExit {
+            snapshot: None,
+            counters: TRACKED_COUNTERS
+                .iter()
+                .map(|key| ((*key).to_string(), runtime.metrics().counter(key)))
+                .collect(),
+            registry: runtime.registry().counter_values(),
+            completed: 0,
+            events: runtime.events_processed(),
+        }
+    }
+}
+
+/// Runs a node on a thread of its own until its handle stops it: `boot`
+/// builds the runtime there (a node is `!Send`), `observe` publishes its
+/// progress after every poll, and `exit` reads what the run judges.
+fn spawn(
+    name: String,
+    boot: impl FnOnce() -> Runtime + Send + 'static,
+    observe: fn(&Runtime) -> u64,
+    exit: impl FnOnce(&Runtime) -> NodeExit + Send + 'static,
+) -> NodeHandle {
+    let stop = Arc::new(AtomicBool::new(false));
+    let progress = Arc::new(AtomicU64::new(0));
+    let (cmds, cmd_rx) = mpsc::channel();
+    let (thread_stop, thread_progress) = (Arc::clone(&stop), Arc::clone(&progress));
+    let thread = thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            let mut runtime = boot();
+            drive(
+                &thread_stop,
+                &cmd_rx,
+                &thread_progress,
+                &mut runtime,
+                observe,
+            );
+            exit(&runtime)
+        })
+        .expect("spawn node thread");
+    NodeHandle {
+        stop,
+        cmds,
+        progress,
+        thread,
+    }
 }
 
 fn spawn_replica(
     r: usize,
     protocol: ProtocolConfig,
     spec: ClusterSpec,
-    seed: u64,
     listener: TcpListener,
-    data_dir: Option<PathBuf>,
 ) -> NodeHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let progress = Arc::new(AtomicU64::new(0));
-    let (cmd_tx, cmd_rx) = mpsc::channel();
-    let thread_stop = Arc::clone(&stop);
-    let thread_progress = Arc::clone(&progress);
-    let thread = thread::Builder::new()
-        .name(format!("chaos-replica-{r}"))
-        .spawn(move || {
-            let keys = KeyMaterial::generate(&protocol, spec.seed);
-            let mut replica = make_replica(
-                &protocol,
-                r,
-                &keys,
-                Box::new(KvService::new()),
-                CryptoCostModel::free(),
-            );
-            // Disk-fault plans give every replica a real data dir: the
-            // WAL + snapshot live in files, crashes leave them behind,
-            // and intact restarts recover from them like a real reboot.
-            if let Some(dir) = &data_dir {
-                let (durability, recovered) =
-                    ReplicaDurability::on_disk(dir, FsyncPolicy::default())
-                        .expect("chaos data dir opens");
-                replica.set_durability(durability, recovered);
-            }
-            let transport = TcpTransport::with_listener(spec.transport_config(r), listener)
-                .expect("replica transport boots");
-            let control = transport.control();
-            let mut runtime = sbft::deploy::replica_runtime_with_pipeline(
-                replica,
-                transport,
-                node_seed(seed, r),
-                spec.verify_threads,
-                spec.exec_threads,
-            );
-            drive(
-                &thread_stop,
-                &cmd_rx,
-                &thread_progress,
-                &mut runtime,
-                |rt| {
-                    rt.node_as::<ReplicaNode>()
-                        .map(|n| n.last_executed().get())
-                        .unwrap_or(0)
-                },
-            );
-            let snapshot = runtime
+    spawn(
+        format!("chaos-replica-{r}"),
+        move || {
+            replica_runtime_with_protocol(&spec, &protocol, r, Some(listener))
+                .expect("replica boots")
+        },
+        |rt| {
+            rt.node_as::<ReplicaNode>()
+                .map_or(0, |n| n.last_executed().get())
+        },
+        move |rt| NodeExit {
+            snapshot: rt
                 .node_as::<ReplicaNode>()
-                .map(|node| ReplicaSnapshot::of(node, r));
-            let counters = tracked_counters(&runtime);
-            let registry = runtime.registry().counter_values();
-            let events = runtime.events_processed();
-            control.shutdown();
-            NodeExit {
-                snapshot,
-                counters,
-                registry,
-                completed: 0,
-                events,
-            }
-        })
-        .expect("spawn replica thread");
-    NodeHandle {
-        stop,
-        cmds: cmd_tx,
-        progress,
-        thread,
-    }
+                .map(|n| ReplicaSnapshot::of(n, r)),
+            ..NodeExit::of(rt)
+        },
+    )
+}
+
+fn completed(rt: &Runtime) -> u64 {
+    rt.node_as::<ClientNode>().map_or(0, |n| n.completed)
 }
 
 fn spawn_client(
     c: usize,
-    protocol: ProtocolConfig,
     spec: ClusterSpec,
-    workload: Workload,
-    seed: u64,
+    workload: ClientWorkload,
     listener: TcpListener,
     gateway: Option<usize>,
 ) -> NodeHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let progress = Arc::new(AtomicU64::new(0));
-    let (cmd_tx, cmd_rx) = mpsc::channel();
-    let thread_stop = Arc::clone(&stop);
-    let thread_progress = Arc::clone(&progress);
-    let node = spec.client_node(c);
-    let thread = thread::Builder::new()
-        .name(format!("chaos-client-{c}"))
-        .spawn(move || {
-            let keys = KeyMaterial::generate(&protocol, spec.seed);
-            let source = workload.source_for(c, spec.seed);
-            let mut client = make_client(
-                &protocol,
-                c,
-                &keys,
-                source,
-                SimDuration::from_millis(400),
-                CryptoCostModel::free(),
-            );
-            if let Some(gateway) = gateway {
-                client.set_gateway(gateway);
-            }
-            let transport = TcpTransport::with_listener(spec.transport_config(node), listener)
-                .expect("client transport boots");
-            let control = transport.control();
-            let mut runtime = NodeRuntime::new(Box::new(client), transport, node_seed(seed, node));
-            drive(
-                &thread_stop,
-                &cmd_rx,
-                &thread_progress,
-                &mut runtime,
-                |rt| rt.node_as::<ClientNode>().map(|n| n.completed).unwrap_or(0),
-            );
-            let completed = runtime
-                .node_as::<ClientNode>()
-                .map(|n| n.completed)
-                .unwrap_or(0);
-            let counters = tracked_counters(&runtime);
-            let registry = runtime.registry().counter_values();
-            let events = runtime.events_processed();
-            control.shutdown();
-            NodeExit {
-                snapshot: None,
-                counters,
-                registry,
-                completed,
-                events,
-            }
-        })
-        .expect("spawn client thread");
-    NodeHandle {
-        stop,
-        cmds: cmd_tx,
-        progress,
-        thread,
-    }
+    let boot = move || {
+        let mut runtime =
+            client_runtime(&spec, c, &workload, Some(listener)).expect("client boots");
+        if let Some(gateway) = gateway {
+            runtime
+                .node_as_mut::<ClientNode>()
+                .expect("client runtime holds a ClientNode")
+                .set_gateway(gateway);
+        }
+        runtime
+    };
+    let exit = |rt: &Runtime| NodeExit {
+        completed: completed(rt),
+        ..NodeExit::of(rt)
+    };
+    spawn(format!("chaos-client-{c}"), boot, completed, exit)
 }
 
+/// Boots the gateway: not deploy's (the open-loop driver) but the relay
+/// the chaos clients route through.
 fn spawn_gateway(
     spec: ClusterSpec,
     admission: AdmissionConfig,
-    seed: u64,
     listener: TcpListener,
 ) -> NodeHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let progress = Arc::new(AtomicU64::new(0));
-    let (cmd_tx, cmd_rx) = mpsc::channel();
-    let thread_stop = Arc::clone(&stop);
-    let thread_progress = Arc::clone(&progress);
-    let node = spec.gateway_node(0);
-    let n = spec.n();
-    let thread = thread::Builder::new()
-        .name("chaos-gateway".to_string())
-        .spawn(move || {
-            let gateway = GatewayNode::new(GatewayCore::new(admission), n);
-            let transport = TcpTransport::with_listener(spec.transport_config(node), listener)
-                .expect("gateway transport boots");
-            let control = transport.control();
-            let mut runtime = NodeRuntime::new(Box::new(gateway), transport, node_seed(seed, node));
-            drive(
-                &thread_stop,
-                &cmd_rx,
-                &thread_progress,
-                &mut runtime,
-                |rt| rt.metrics().counter("gateway_admitted"),
-            );
-            let counters = tracked_counters(&runtime);
-            let registry = runtime.registry().counter_values();
-            let events = runtime.events_processed();
-            control.shutdown();
-            NodeExit {
-                snapshot: None,
-                counters,
-                registry,
-                completed: 0,
-                events,
-            }
-        })
-        .expect("spawn gateway thread");
-    NodeHandle {
-        stop,
-        cmds: cmd_tx,
-        progress,
-        thread,
-    }
+    let boot = move || {
+        let node = spec.gateway_node(0);
+        let gateway = GatewayNode::new(GatewayCore::new(admission), spec.n());
+        let transport = TcpTransport::with_listener(spec.transport_config(node), listener)
+            .expect("gateway transport boots");
+        let seed = spec.seed ^ (node as u64).wrapping_mul(0x9e3779b97f4a7c15);
+        NodeRuntime::new(Box::new(gateway), transport, seed)
+    };
+    spawn(
+        "chaos-gateway".to_string(),
+        boot,
+        |rt| rt.metrics().counter("gateway_admitted"),
+        NodeExit::of,
+    )
+}
+
+/// Binds `node`'s listener on an OS-picked port and publishes it as the
+/// node's forward address at the proxy (restarts rebind and republish).
+fn listen(net: &ChaosNet, node: usize) -> std::io::Result<TcpListener> {
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    net.set_forward(node, listener.local_addr()?.to_string());
+    Ok(listener)
 }
 
 struct TcpRun {
     net: ChaosNet,
     protocol: ProtocolConfig,
+    /// The cluster as the nodes see it. Its `data_dir`, set only for
+    /// plans that inject disk faults (`RestartIntact` / `TornWal`), is a
+    /// run-private root holding each replica's on-disk state; every
+    /// other plan stays on the in-memory store.
     spec: ClusterSpec,
-    seed: u64,
     /// Replica handles (None while crashed).
     replicas: Vec<Option<NodeHandle>>,
     clients: Vec<NodeHandle>,
@@ -343,11 +271,6 @@ struct TcpRun {
     /// Per-node mean of the extra exponential link jitter; like delays,
     /// a link's jitter mean is the sum of its endpoints' values.
     node_jitter_ms: Vec<u64>,
-    /// Per-replica on-disk data dirs under a run-private tempdir root —
-    /// only allocated when the plan injects disk faults
-    /// (`RestartIntact` / `TornWal`); `None` keeps every other plan on
-    /// the in-memory store. `(root, per-replica dirs)`.
-    data_dirs: Option<(PathBuf, Vec<PathBuf>)>,
 }
 
 impl TcpRun {
@@ -358,7 +281,7 @@ impl TcpRun {
         // Every peer table points at the proxy; each node's own listener
         // is bound to an OS-picked port and published as its forward
         // address (restarts rebind and republish).
-        let spec = ClusterSpec {
+        let mut spec = ClusterSpec {
             f: plan.f,
             c: plan.c,
             seed,
@@ -374,8 +297,9 @@ impl TcpRun {
             // handoff, completion wake, and crash-between-commit-and-ack
             // window are live in every TCP fault schedule.
             exec_threads: 2,
-            // The harness wires durability itself (per-run tempdirs,
-            // only for disk-fault plans), not through the spec.
+            // Disk-fault plans set a run-private root below: the WAL +
+            // snapshot live in files, crashes leave them behind, and
+            // intact restarts recover from them like a real reboot.
             data_dir: None,
             fsync: None,
             replicas: (0..n).map(|r| net.proxy_addr(r)).collect(),
@@ -392,7 +316,20 @@ impl TcpRun {
             // path is the open-loop bench's and binary's job).
             gateway_sessions: 0,
         };
-        let mut protocol = sbft::deploy::protocol_for(&spec);
+        let uses_disk = plan
+            .events
+            .iter()
+            .any(|e| matches!(e.fault, Fault::RestartIntact { .. } | Fault::TornWal { .. }));
+        if uses_disk {
+            static RUN_ID: AtomicU64 = AtomicU64::new(0);
+            let root = std::env::temp_dir().join(format!(
+                "sbft-chaos-{}-{}",
+                std::process::id(),
+                RUN_ID.fetch_add(1, Ordering::Relaxed)
+            ));
+            spec.data_dir = Some(root.to_string_lossy().into_owned());
+        }
+        let mut protocol = protocol_for(&spec);
         if let Some(window) = plan.window {
             protocol.window = window;
         }
@@ -402,51 +339,30 @@ impl TcpRun {
         if let Some(max_in_flight) = plan.max_in_flight {
             protocol.max_in_flight = max_in_flight;
         }
-        let bind = |node: usize| -> std::io::Result<TcpListener> {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            net.set_forward(node, listener.local_addr()?.to_string());
-            Ok(listener)
-        };
-        let uses_disk = plan
-            .events
-            .iter()
-            .any(|e| matches!(e.fault, Fault::RestartIntact { .. } | Fault::TornWal { .. }));
-        let data_dirs = if uses_disk {
-            static RUN_ID: AtomicU64 = AtomicU64::new(0);
-            let root = std::env::temp_dir().join(format!(
-                "sbft-chaos-{}-{}",
-                std::process::id(),
-                RUN_ID.fetch_add(1, Ordering::Relaxed)
-            ));
-            let dirs: Vec<PathBuf> = (0..n).map(|r| root.join(format!("replica-{r}"))).collect();
-            Some((root, dirs))
-        } else {
-            None
-        };
-        let replica_dir = |r: usize| data_dirs.as_ref().map(|(_, dirs)| dirs[r].clone());
-        let workload = plan.workload();
         let mut replicas = Vec::new();
         for r in 0..n {
-            let listener = bind(r)?;
+            let listener = listen(&net, r)?;
             replicas.push(Some(spawn_replica(
                 r,
                 protocol.clone(),
                 spec.clone(),
-                seed,
                 listener,
-                replica_dir(r),
             )));
         }
+        let workload = ClientWorkload {
+            requests: plan.requests_per_client,
+            ops_per_request: 1,
+            key_space: 64,
+            value_len: 16,
+        };
         let gateway_route = plan.gateway.then(|| plan.gateway_node());
         let mut clients = Vec::new();
         for c in 0..plan.clients {
-            let listener = bind(n + c)?;
+            let listener = listen(&net, n + c)?;
             clients.push(spawn_client(
                 c,
-                protocol.clone(),
                 spec.clone(),
                 workload.clone(),
-                seed,
                 listener,
                 gateway_route,
             ));
@@ -462,8 +378,8 @@ impl TcpRun {
         });
         let gateway = match gateway_admission {
             Some(admission) => {
-                let listener = bind(plan.gateway_node())?;
-                Some(spawn_gateway(spec.clone(), admission, seed, listener))
+                let listener = listen(&net, plan.gateway_node())?;
+                Some(spawn_gateway(spec.clone(), admission, listener))
             }
             None => None,
         };
@@ -473,7 +389,6 @@ impl TcpRun {
             net,
             protocol,
             spec,
-            seed,
             replicas,
             clients,
             gateway,
@@ -482,12 +397,7 @@ impl TcpRun {
             crashed_exits: Vec::new(),
             node_delay_ms,
             node_jitter_ms,
-            data_dirs,
         })
-    }
-
-    fn replica_dir(&self, r: usize) -> Option<PathBuf> {
-        self.data_dirs.as_ref().map(|(_, dirs)| dirs[r].clone())
     }
 
     fn total(&self) -> usize {
@@ -523,19 +433,14 @@ impl TcpRun {
         if self.replicas[r].is_some() {
             return; // restarting a live replica is a plan bug; ignore
         }
-        let Ok(listener) = TcpListener::bind("127.0.0.1:0") else {
+        let Ok(listener) = listen(&self.net, r) else {
             return;
         };
-        if let Ok(addr) = listener.local_addr() {
-            self.net.set_forward(r, addr.to_string());
-        }
         self.replicas[r] = Some(spawn_replica(
             r,
             self.protocol.clone(),
             self.spec.clone(),
-            self.seed,
             listener,
-            self.replica_dir(r),
         ));
     }
 
@@ -551,7 +456,7 @@ impl TcpRun {
                 // Empty-state semantics: a plain restart loses the disk
                 // too, so wipe the data dir before the fresh incarnation
                 // opens it.
-                if let Some(dir) = self.replica_dir(*r) {
+                if let Some(dir) = replica_data_dir(&self.spec, *r) {
                     let _ = std::fs::remove_dir_all(&dir);
                 }
                 self.respawn(*r);
@@ -561,7 +466,7 @@ impl TcpRun {
                 // The victim is crashed (validated), so its incarnation
                 // joined and the WAL file handle is closed: tear the
                 // tail off the file directly, like a power loss would.
-                if let Some(dir) = self.replica_dir(*replica) {
+                if let Some(dir) = replica_data_dir(&self.spec, *replica) {
                     let path = sbft_core::persist::wal_path(&dir);
                     if let Ok(file) = std::fs::OpenOptions::new().write(true).open(&path) {
                         if let Ok(meta) = file.metadata() {
@@ -634,19 +539,10 @@ impl TcpRun {
                 let Some(admission) = self.gateway_admission else {
                     return;
                 };
-                let node = self.spec.gateway_node(0);
-                let Ok(listener) = TcpListener::bind("127.0.0.1:0") else {
+                let Ok(listener) = listen(&self.net, self.spec.gateway_node(0)) else {
                     return;
                 };
-                if let Ok(addr) = listener.local_addr() {
-                    self.net.set_forward(node, addr.to_string());
-                }
-                self.gateway = Some(spawn_gateway(
-                    self.spec.clone(),
-                    admission,
-                    self.seed,
-                    listener,
-                ));
+                self.gateway = Some(spawn_gateway(self.spec.clone(), admission, listener));
             }
             Step::SlowReplicaStart { replica, delay_ms } => {
                 if let Some(handle) = &self.replicas[*replica] {
@@ -781,7 +677,7 @@ pub fn run_tcp(plan: &FaultPlan, seed: u64, time_cap: Duration) -> RunReport {
         .filter_map(|(r, slot)| slot.take().map(|handle| (r, handle.join())))
         .collect();
     run.net.shutdown();
-    if let Some((root, _)) = &run.data_dirs {
+    if let Some(root) = &run.spec.data_dir {
         let _ = std::fs::remove_dir_all(root);
     }
 

@@ -40,6 +40,31 @@ impl VariantFlags {
     };
 }
 
+/// The four protocol timers that scale with the network's round trip,
+/// set together by [`ProtocolConfig::set_timers`].
+#[derive(Debug, Clone, Copy)]
+pub struct TimerBundle {
+    /// See [`ProtocolConfig::fast_path_timeout`].
+    pub fast_path_timeout: SimDuration,
+    /// See [`ProtocolConfig::collector_stagger`].
+    pub collector_stagger: SimDuration,
+    /// See [`ProtocolConfig::view_timeout`].
+    pub view_timeout: SimDuration,
+    /// See [`ProtocolConfig::batch_delay`].
+    pub batch_delay: SimDuration,
+}
+
+impl TimerBundle {
+    /// Continental round trips: the five-region WAN of the §IX
+    /// key-value runs, and a real deployment's `wan` profile.
+    pub const CONTINENTAL: TimerBundle = TimerBundle {
+        fast_path_timeout: SimDuration::from_millis(250),
+        collector_stagger: SimDuration::from_millis(90),
+        view_timeout: SimDuration::from_secs(10),
+        batch_delay: SimDuration::from_millis(10),
+    };
+}
+
 /// Cluster-wide protocol configuration. `n = 3f + 2c + 1` (§II).
 #[derive(Debug, Clone)]
 pub struct ProtocolConfig {
@@ -99,6 +124,14 @@ impl ProtocolConfig {
             view_timeout: SimDuration::from_secs(2),
             checkpoint_period: 128,
         }
+    }
+
+    /// Sets the four round-trip-scaled timers of `timers`.
+    pub fn set_timers(&mut self, timers: TimerBundle) {
+        self.fast_path_timeout = timers.fast_path_timeout;
+        self.collector_stagger = timers.collector_stagger;
+        self.view_timeout = timers.view_timeout;
+        self.batch_delay = timers.batch_delay;
     }
 
     /// Total replicas `n = 3f + 2c + 1`.

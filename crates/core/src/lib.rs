@@ -49,7 +49,7 @@ pub mod verify;
 pub mod viewchange;
 
 pub use client::ClientNode;
-pub use config::{ProtocolConfig, VariantFlags};
+pub use config::{ProtocolConfig, TimerBundle, VariantFlags};
 pub use exec::ExecEngine;
 pub use keys::{
     KeyMaterial, PublicKeys, ReplicaKeys, DOMAIN_HEARTBEAT, DOMAIN_PI, DOMAIN_SIGMA, DOMAIN_TAU,

@@ -15,7 +15,7 @@ impl ReplicaNode {
             let Some(slot) = self.slots.get(&next.get()) else {
                 break;
             };
-            if !slot.committed {
+            if !slot.committed() {
                 break;
             }
             let ops: Vec<Vec<u8>> = slot

@@ -47,7 +47,7 @@ impl ReplicaNode {
     pub(super) fn in_flight(&self) -> usize {
         self.slots
             .values()
-            .filter(|s| s.requests.is_some() && !s.committed)
+            .filter(|s| s.requests.is_some() && !s.committed())
             .count()
     }
 
@@ -166,7 +166,7 @@ impl ReplicaNode {
         }
         let h = block_digest(seq, view, &requests);
         let slot = self.slot(seq);
-        if slot.committed || (slot.view == Some(view) && slot.h == Some(h)) {
+        if slot.committed() || (slot.view == Some(view) && slot.h == Some(h)) {
             return; // decided, or a duplicate
         }
         if slot.view == Some(view) && slot.h.is_some() {
@@ -206,8 +206,8 @@ impl ReplicaNode {
                 }
             }
         }
-        // A commit proof may have arrived before the pre-prepare.
-        self.try_commit_with_stored_cert(ctx, seq);
+        // Commit proofs may have arrived before the pre-prepare.
+        self.commit_parked_certs(ctx, seq);
         self.arm_watchdog(ctx);
     }
 
@@ -312,7 +312,7 @@ impl ReplicaNode {
         if fast_enabled
             && slot.sigma_shares.len() >= sigma_threshold
             && !slot.fast_proof_sent
-            && slot.commit_cert.is_none()
+            && !slot.committed()
         {
             slot.fast_proof_sent = true;
             if let Some(t) = slot.fast_timer.take() {
@@ -335,7 +335,7 @@ impl ReplicaNode {
         if slot.tau_shares.len() >= tau_threshold
             && !slot.prepare_sent
             && !slot.fast_proof_sent
-            && slot.commit_cert.is_none()
+            && !slot.committed()
         {
             if !fast_enabled {
                 slot.prepare_sent = true;
@@ -381,7 +381,7 @@ impl ReplicaNode {
             return;
         };
         let slot = self.slots.get(&seq.get()).expect("slot exists");
-        if slot.commit_cert.is_some() {
+        if slot.committed() {
             return; // someone else's proof arrived meanwhile
         }
         let shares: Vec<SignatureShare> = slot.sigma_shares.values().copied().collect();

@@ -12,11 +12,7 @@ impl ReplicaNode {
         let tau_threshold = self.config.tau_threshold();
         let slot = self.slot(seq);
         slot.fast_timer = None;
-        if slot.prepare_sent
-            || slot.commit_cert.is_some()
-            || slot.committed
-            || slot.tau_shares.len() < tau_threshold
-        {
+        if slot.prepare_sent || slot.committed() || slot.tau_shares.len() < tau_threshold {
             return;
         }
         slot.prepare_sent = true;
@@ -38,7 +34,7 @@ impl ReplicaNode {
             return;
         };
         let slot = self.slots.get(&seq.get()).expect("slot exists");
-        if slot.commit_cert.is_some() || slot.prepared.is_some() {
+        if slot.committed() || slot.prepared.is_some() {
             return;
         }
         let shares = &slot.tau_shares;
@@ -141,9 +137,7 @@ impl ReplicaNode {
         let eff_index = self.effective_stagger_index(seq, view, my_index, ctx.now());
         let slot = self.slot(seq);
         slot.commit2_shares.insert(share.index(), share);
-        if slot.commit2_shares.len() >= tau_threshold
-            && !slot.slow_proof_sent
-            && slot.commit_cert.is_none()
+        if slot.commit2_shares.len() >= tau_threshold && !slot.slow_proof_sent && !slot.committed()
         {
             slot.slow_proof_sent = true;
             if acts_now(ctx, eff_index, stagger, timer::STAGGER_SLOW, seq) {
@@ -157,7 +151,7 @@ impl ReplicaNode {
             return;
         };
         let slot = self.slots.get(&seq.get()).expect("slot exists");
-        if slot.commit_cert.is_some() {
+        if slot.committed() {
             return;
         }
         let d2 = commit2_digest(seq, view, &h);
@@ -174,6 +168,7 @@ impl ReplicaNode {
     pub(super) fn handle_full_commit_proof(
         &mut self,
         ctx: &mut Ctx<'_>,
+        from: NodeId,
         seq: SeqNum,
         view: ViewNum,
         cert: CommitCert,
@@ -187,11 +182,12 @@ impl ReplicaNode {
             .filter(|s| s.view == Some(view))
             .and_then(|s| s.h)
         else {
-            // Pre-prepare not here yet: remember the certificate.
+            // Pre-prepare not here yet: park the certificate until the
+            // block it claims to certify is known.
             let slot = self.slot(seq);
-            if slot.commit_cert.is_none() {
-                slot.commit_cert = Some(cert);
-                slot.commit_view = Some(view);
+            if !slot.committed() {
+                slot.parked_certs.retain(|(sender, _, _)| *sender != from);
+                slot.parked_certs.push((from, view, cert));
             }
             return;
         };
@@ -209,20 +205,17 @@ impl ReplicaNode {
         self.commit(ctx, seq, view, cert);
     }
 
-    pub(super) fn try_commit_with_stored_cert(&mut self, ctx: &mut Ctx<'_>, seq: SeqNum) {
-        let Some(slot) = self.slots.get(&seq.get()) else {
-            return;
-        };
-        if slot.committed || slot.requests.is_none() {
-            return;
+    /// The pre-prepare of `seq` arrived: check the certificates parked
+    /// for it in arrival order until one commits the slot. One that fails
+    /// is dropped, so the collector and fallback paths run as if it had
+    /// never come; one for another view parks again.
+    pub(super) fn commit_parked_certs(&mut self, ctx: &mut Ctx<'_>, seq: SeqNum) {
+        for (from, view, cert) in std::mem::take(&mut self.slot(seq).parked_certs) {
+            if self.slot(seq).committed() {
+                break;
+            }
+            self.handle_full_commit_proof(ctx, from, seq, view, cert);
         }
-        let (Some(cert), Some(view)) = (slot.commit_cert.clone(), slot.commit_view) else {
-            return;
-        };
-        if slot.view != Some(view) {
-            return;
-        }
-        self.handle_full_commit_proof(ctx, seq, view, cert);
     }
 
     /// Fills slot `seq` with a block certified elsewhere (a new-view
@@ -236,7 +229,7 @@ impl ReplicaNode {
     ) -> Option<Digest> {
         let h = block_digest(seq, view, &requests);
         let slot = self.slot(seq);
-        if slot.committed {
+        if slot.committed() {
             return None;
         }
         slot.view = Some(view);
@@ -254,20 +247,17 @@ impl ReplicaNode {
     ) {
         let now = ctx.now();
         let slot = self.slot(seq);
-        if slot.committed {
+        if slot.committed() {
             return;
         }
         let Some(requests) = slot.requests.clone() else {
-            slot.commit_cert = Some(cert);
-            slot.commit_view = Some(view);
-            return;
+            return; // every caller fills the block first
         };
-        slot.committed = true;
         let first_seen = slot.first_seen;
         let fast_commit = matches!(cert, CommitCert::Fast(_));
         let cert_logged = cert.clone();
-        slot.commit_cert = Some(cert);
-        slot.commit_view = Some(view);
+        slot.commit_cert = Some((view, cert));
+        slot.parked_certs.clear();
         if let Some(t) = slot.fast_timer.take() {
             ctx.cancel_timer(t);
         }
@@ -371,7 +361,7 @@ mod tests {
         node.commit(&mut ctx, seq, ViewNum::ZERO, CommitCert::Slow(tau2));
         drop(ctx.into_effects());
 
-        assert!(node.slots[&seq.get()].committed, "block committed");
+        assert!(node.slots[&seq.get()].committed(), "block committed");
         assert_eq!(
             node.vc_attempts, 0,
             "committed progress must reset the view-change backoff ladder"

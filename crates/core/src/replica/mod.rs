@@ -144,9 +144,14 @@ struct Slot {
     prepared: Option<(Signature, ViewNum)>,
     /// This replica's σ share on its accepted pre-prepare (evidence `fm`).
     my_sigma_share: Option<SignatureShare>,
-    commit_cert: Option<CommitCert>,
-    commit_view: Option<ViewNum>,
-    committed: bool,
+    /// The certificate, and its view, that `ReplicaNode::commit`
+    /// committed the slot on: set there and nowhere else, so the slot is
+    /// committed exactly when this is `Some`.
+    commit_cert: Option<(ViewNum, CommitCert)>,
+    /// Certificates that arrived before their pre-prepare, unverified
+    /// until the block is known, in arrival order and one per sender (a
+    /// faulty sender cannot displace an honest collector's).
+    parked_certs: Vec<(NodeId, ViewNum, CommitCert)>,
     // --- execution state ---
     exec_digest: Option<Digest>,
     // --- E-collector state ---
@@ -157,6 +162,12 @@ struct Slot {
     exec_timer_set: bool,
     // --- roles ---
     collectors: SlotCollectors,
+}
+
+impl Slot {
+    fn committed(&self) -> bool {
+        self.commit_cert.is_some()
+    }
 }
 
 /// A slot's collector lists, each ranked once instead of on every
@@ -522,7 +533,7 @@ impl ReplicaNode {
     pub fn committed_block(&self, seq: SeqNum) -> Option<&Vec<ClientRequest>> {
         self.slots
             .get(&seq.get())
-            .filter(|s| s.committed)
+            .filter(|s| s.committed())
             .and_then(|s| s.requests.as_ref())
     }
 
@@ -649,14 +660,14 @@ impl Node<SbftMsg> for ReplicaNode {
                 tau,
             } => self.handle_sign_share(ctx, from, seq, view, sigma, tau),
             SbftMsg::FullCommitProof { seq, view, sigma } => {
-                self.handle_full_commit_proof(ctx, seq, view, CommitCert::Fast(sigma))
+                self.handle_full_commit_proof(ctx, from, seq, view, CommitCert::Fast(sigma))
             }
             SbftMsg::Prepare { seq, view, tau } => self.handle_prepare(ctx, seq, view, tau),
             SbftMsg::CommitShare { seq, view, share } => {
                 self.handle_commit_share(ctx, from, seq, view, share)
             }
             SbftMsg::FullCommitProofSlow { seq, view, tau2 } => {
-                self.handle_full_commit_proof(ctx, seq, view, CommitCert::Slow(tau2))
+                self.handle_full_commit_proof(ctx, from, seq, view, CommitCert::Slow(tau2))
             }
             SbftMsg::SignState { seq, digest, share } => {
                 self.handle_sign_state(ctx, from, seq, digest, share)

@@ -69,19 +69,17 @@ impl ReplicaNode {
 
     fn send_block_fills(&self, ctx: &mut Ctx<'_>, to: NodeId, after: SeqNum) {
         for (seq, slot) in &self.slots {
-            if *seq <= after.get() || !slot.committed {
+            if *seq <= after.get() {
                 continue;
             }
-            let (Some(requests), Some(cert), Some(view)) =
-                (&slot.requests, &slot.commit_cert, slot.commit_view)
-            else {
+            let (Some(requests), Some((view, cert))) = (&slot.requests, &slot.commit_cert) else {
                 continue;
             };
             ctx.send(
                 to,
                 SbftMsg::BlockFill {
                     seq: SeqNum::new(*seq),
-                    view,
+                    view: *view,
                     requests: requests.clone(),
                     cert: cert.clone(),
                 },

@@ -61,10 +61,10 @@ impl ReplicaNode {
                 continue;
             }
             let slow = match (&slot.commit_cert, slot.prepared) {
-                (Some(CommitCert::Slow(tau2)), _) => SlowEvidence::CommittedSlow {
-                    view: slot.commit_view.expect("cert has view"),
+                (Some((view, CommitCert::Slow(tau2))), _) => SlowEvidence::CommittedSlow {
+                    view: *view,
                     tau2: *tau2,
-                    requests: slot.requests.clone().unwrap_or_default(),
+                    requests: slot.requests.clone().expect("committed slot has requests"),
                 },
                 (_, Some((tau, view))) if slot.requests.is_some() => SlowEvidence::Prepared {
                     view,
@@ -74,10 +74,10 @@ impl ReplicaNode {
                 _ => SlowEvidence::None,
             };
             let fast = match (&slot.commit_cert, slot.my_sigma_share) {
-                (Some(CommitCert::Fast(sigma)), _) => FastEvidence::CommittedFast {
-                    view: slot.commit_view.expect("cert has view"),
+                (Some((view, CommitCert::Fast(sigma))), _) => FastEvidence::CommittedFast {
+                    view: *view,
                     sigma: *sigma,
-                    requests: slot.requests.clone().unwrap_or_default(),
+                    requests: slot.requests.clone().expect("committed slot has requests"),
                 },
                 (_, Some(share)) if slot.requests.is_some() => FastEvidence::PrePrepared {
                     view: slot.view.expect("share implies pre-prepare"),
@@ -241,7 +241,7 @@ impl ReplicaNode {
         if let Some(map) = &self.shares {
             map.retain_views_from(plan.view);
         }
-        let abandoned = |slot: &&mut Slot| !slot.committed && slot.view != Some(plan.view);
+        let abandoned = |slot: &&mut Slot| !slot.committed() && slot.view != Some(plan.view);
         for slot in self.slots.values_mut().filter(abandoned) {
             slot.sigma_shares.clear();
             slot.tau_shares.clear();
@@ -254,7 +254,7 @@ impl ReplicaNode {
             if self
                 .slots
                 .get(&seq.get())
-                .map(|s| s.committed)
+                .map(Slot::committed)
                 .unwrap_or(false)
             {
                 continue;
@@ -350,6 +350,145 @@ mod tests {
         fn deliver(&mut self, node: &mut ReplicaNode, from: NodeId, msg: SbftMsg) {
             drop(self.run(node, |node, ctx| node.on_message(from, msg, ctx)));
         }
+    }
+
+    /// Replica 1 of an f = 1, c = 0 cluster (seq 1's first C-collector
+    /// in view 0), seq 1's one-request block, and its digest.
+    fn collector_with_block() -> (ReplicaNode, KeyMaterial, Vec<ClientRequest>, Digest) {
+        let config = ProtocolConfig::new(1, 0, VariantFlags::SBFT);
+        let keys = KeyMaterial::generate(&config, 0x5eed);
+        let node = ReplicaNode::new(
+            config,
+            ReplicaId::new(1),
+            &keys,
+            Box::new(KvService::new()),
+            CryptoCostModel::free(),
+        );
+        let client = ClientId::new(0);
+        let op = b"put k v".to_vec();
+        let requests = vec![ClientRequest::signed(
+            client,
+            1,
+            op,
+            &keys.public.client_keys(client),
+        )];
+        let h = block_digest(SeqNum::new(1), ViewNum::ZERO, &requests);
+        (node, keys, requests, h)
+    }
+
+    /// σ over `digest`, combined from all four replicas' shares.
+    fn sigma_over(keys: &KeyMaterial, digest: &Digest) -> Signature {
+        let shares: Vec<_> = keys
+            .replicas
+            .iter()
+            .map(|r| r.sigma.sign(DOMAIN_SIGMA, digest))
+            .collect();
+        keys.public
+            .sigma
+            .combine(DOMAIN_SIGMA, digest, &shares)
+            .unwrap()
+    }
+
+    fn fast_proof(sigma: Signature) -> SbftMsg {
+        SbftMsg::FullCommitProof {
+            seq: SeqNum::new(1),
+            view: ViewNum::ZERO,
+            sigma,
+        }
+    }
+
+    fn pre_prepare(requests: &[ClientRequest]) -> SbftMsg {
+        SbftMsg::PrePrepare {
+            seq: SeqNum::new(1),
+            view: ViewNum::ZERO,
+            requests: requests.to_vec(),
+        }
+    }
+
+    fn sign_share(keys: &KeyMaterial, r: usize, h: &Digest) -> SbftMsg {
+        SbftMsg::SignShare {
+            seq: SeqNum::new(1),
+            view: ViewNum::ZERO,
+            sigma: Some(keys.replicas[r].sigma.sign(DOMAIN_SIGMA, h)),
+            tau: keys.replicas[r].tau.sign(DOMAIN_TAU, h),
+        }
+    }
+
+    /// Regression: a valid commit certificate that arrived before its
+    /// pre-prepare used to be stored as the slot's commit, so the
+    /// replica's view-change message claimed `CommittedFast` with an
+    /// empty block, and every peer rejected the whole message.
+    #[test]
+    fn commit_proof_before_its_pre_prepare_keeps_view_change_valid() {
+        let (mut node, keys, requests, h) = collector_with_block();
+        let mut driver = Driver::new(1);
+        driver.deliver(&mut node, 2, fast_proof(sigma_over(&keys, &h)));
+        let vc = node.build_view_change(ViewNum::new(1));
+        assert!(validate_view_change(&keys.public, &vc), "{vc:?}");
+        assert!(node.committed_block(SeqNum::new(1)).is_none());
+
+        // The pre-prepare arrives: the parked certificate commits it.
+        driver.deliver(&mut node, 0, pre_prepare(&requests));
+        assert_eq!(node.committed_block(SeqNum::new(1)), Some(&requests));
+        let vc = node.build_view_change(ViewNum::new(1));
+        assert!(matches!(
+            vc.entries[0].fast,
+            FastEvidence::CommittedFast { .. }
+        ));
+        assert!(validate_view_change(&keys.public, &vc));
+    }
+
+    /// Regression: one invalid σ, sent before the pre-prepare, used to
+    /// stall the slot at its collector. It sat in the slot as if it were
+    /// a commit, so the collector never combined σ from the four shares
+    /// (nor fell back to τ when σ was short), and its view-change message
+    /// carried the bad σ.
+    #[test]
+    fn invalid_commit_proof_before_its_pre_prepare_does_not_stall_the_collector() {
+        let forged = sigma_over(&keys_for_forgery(), &sbft_crypto::sha256(b"another block"));
+        for shares in [4, 3] {
+            let (mut node, keys, requests, h) = collector_with_block();
+            let mut driver = Driver::new(1);
+            driver.deliver(&mut node, 3, fast_proof(forged));
+            driver.deliver(&mut node, 0, pre_prepare(&requests));
+            assert!(node.committed_block(SeqNum::new(1)).is_none());
+            let mut sent = Vec::new();
+            for r in 0..shares {
+                let msg = sign_share(&keys, r, &h);
+                sent.extend(
+                    driver
+                        .run(&mut node, |node, ctx| node.on_message(r, msg, ctx))
+                        .sends,
+                );
+            }
+            if shares == 3 {
+                // σ is one share short: the fast-path timeout falls back
+                // to the linear path.
+                let token = timer::token(timer::FAST_TIMEOUT, 1);
+                sent.extend(
+                    driver
+                        .run(&mut node, |node, ctx| node.on_timer(token, ctx))
+                        .sends,
+                );
+            }
+            let mut to: Vec<NodeId> = sent
+                .iter()
+                .filter(|(_, msg)| match shares {
+                    4 => matches!(msg, SbftMsg::FullCommitProof { .. }),
+                    _ => matches!(msg, SbftMsg::Prepare { .. }),
+                })
+                .map(|(dest, _)| *dest)
+                .collect();
+            to.sort_unstable();
+            assert_eq!(to, vec![0, 1, 2, 3], "with {shares} shares");
+            let vc = node.build_view_change(ViewNum::new(1));
+            assert!(validate_view_change(&keys.public, &vc), "{vc:?}");
+        }
+    }
+
+    /// Key material of another deployment: its σ verifies nowhere here.
+    fn keys_for_forgery() -> KeyMaterial {
+        KeyMaterial::generate(&ProtocolConfig::new(1, 0, VariantFlags::SBFT), 0xbad)
     }
 
     /// Regression: collector share accumulations and the pre-verifier's

@@ -5,6 +5,7 @@ use std::collections::HashMap;
 
 use sbft_types::{ClientId, Digest, ReplicaId};
 
+use sbft_core::client::RequestSource;
 use sbft_crypto::{sha256, CryptoCostModel, KeyPair};
 use sbft_sim::{Context, Node, NodeId, SimDuration, SimTime};
 use sbft_statedb::RawOp;
@@ -14,9 +15,6 @@ use crate::messages::{PbftMsg, PbftRequest};
 use crate::replica::PbftConfig;
 
 const RETRY_TOKEN: u64 = 1;
-
-/// Lazily produces the `i`-th request operation; `None` ends the workload.
-pub type RequestSource = Box<dyn FnMut(u64) -> Option<RawOp>>;
 
 struct Outstanding {
     timestamp: u64,

@@ -26,4 +26,4 @@ pub use client::PbftClient;
 pub use keys::PbftKeys;
 pub use messages::{pbft_block_digest, PbftMsg, PbftRequest, PbftViewChange, PreparedProof};
 pub use replica::{PbftConfig, PbftReplica};
-pub use testkit::{PbftCluster, PbftClusterConfig, PbftWorkload};
+pub use testkit::{PbftCluster, PbftClusterConfig};

@@ -1,77 +1,17 @@
 //! PBFT cluster construction for tests and benchmarks, mirroring
 //! `sbft_core::testkit` so the two systems run on identical substrates.
 
-use sbft_types::{ClientId, Digest, ReplicaId, SeqNum};
+use sbft_types::{ClientId, ReplicaId, SeqNum, ViewNum};
 
+use sbft_core::{invariant_violation, ReplicaSnapshot, Workload};
 use sbft_crypto::CryptoCostModel;
 use sbft_sim::{NetworkConfig, NetworkModel, Placement, SimDuration, Simulation, Topology};
-use sbft_statedb::{KvOp, KvService, RawOp, Service};
-use sbft_wire::Wire;
+use sbft_statedb::{KvService, Service};
 
 use crate::client::PbftClient;
 use crate::keys::PbftKeys;
 use crate::messages::{pbft_block_digest, PbftMsg};
 use crate::replica::{PbftConfig, PbftReplica};
-
-/// Client workload (mirror of `sbft_core::Workload`).
-#[derive(Debug, Clone)]
-pub enum PbftWorkload {
-    /// Random puts, optionally batched per request.
-    KvPut {
-        /// Requests per client.
-        requests: usize,
-        /// Operations per request.
-        ops_per_request: usize,
-        /// Key space.
-        key_space: u64,
-        /// Value bytes.
-        value_len: usize,
-    },
-    /// Explicit per-client operations.
-    Explicit(Vec<Vec<RawOp>>),
-}
-
-impl PbftWorkload {
-    /// Builds the lazy request source for one client.
-    pub fn source_for(&self, client: usize, seed: u64) -> crate::client::RequestSource {
-        match self {
-            PbftWorkload::KvPut {
-                requests,
-                ops_per_request,
-                key_space,
-                value_len,
-            } => {
-                let mut rng =
-                    sbft_crypto::SplitMix64::new(seed ^ (client as u64).wrapping_mul(0x9e37));
-                let (requests, ops_per_request, key_space, value_len) =
-                    (*requests, *ops_per_request, *key_space, *value_len);
-                Box::new(move |i| {
-                    if i >= requests as u64 {
-                        return None;
-                    }
-                    let ops: Vec<KvOp> = (0..ops_per_request)
-                        .map(|_| KvOp::Put {
-                            key: (rng.next_u64() % key_space).to_le_bytes().to_vec(),
-                            value: (0..value_len).map(|_| rng.next_u64() as u8).collect(),
-                        })
-                        .collect();
-                    Some(if ops.len() == 1 {
-                        ops.into_iter().next().expect("one op").to_wire_bytes()
-                    } else {
-                        KvOp::Batch(ops).to_wire_bytes()
-                    })
-                })
-            }
-            PbftWorkload::Explicit(per_client) => {
-                let mine = per_client
-                    .get(client % per_client.len().max(1))
-                    .cloned()
-                    .unwrap_or_default();
-                Box::new(move |i| mine.get(i as usize).cloned())
-            }
-        }
-    }
-}
 
 /// Configuration for one PBFT cluster.
 pub struct PbftClusterConfig {
@@ -80,7 +20,7 @@ pub struct PbftClusterConfig {
     /// Number of clients.
     pub clients: usize,
     /// Workload.
-    pub workload: PbftWorkload,
+    pub workload: Workload,
     /// Topology.
     pub topology: Topology,
     /// Machines per region.
@@ -108,7 +48,7 @@ impl PbftClusterConfig {
         PbftClusterConfig {
             protocol,
             clients: 2,
-            workload: PbftWorkload::KvPut {
+            workload: Workload::KvPut {
                 requests: 10,
                 ops_per_request: 1,
                 key_space: 64,
@@ -194,48 +134,53 @@ impl PbftCluster {
         self.sim.metrics().counter("client_completed")
     }
 
-    /// Safety check mirroring `sbft_core::Cluster::assert_agreement`.
+    /// Safety snapshots of every live (non-crashed) replica, in the
+    /// form SBFT's invariants judge (a PBFT replica stores no checkpoint
+    /// state roots, so that invariant has nothing to compare).
+    fn snapshots(&self) -> Vec<ReplicaSnapshot> {
+        (0..self.n)
+            .filter(|r| !self.sim.is_crashed(*r))
+            .map(|r| {
+                let replica = self.replica(r);
+                let mut blocks = Vec::new();
+                let mut requests = Vec::new();
+                let from = replica.last_stable().get().max(1);
+                for seq in from..=replica.last_executed().get() + 512 {
+                    let seq = SeqNum::new(seq);
+                    if let Some(reqs) = replica.committed_block(seq) {
+                        blocks.push((seq.get(), pbft_block_digest(seq, ViewNum::ZERO, reqs)));
+                        requests.extend(
+                            reqs.iter()
+                                .map(|q| (seq.get(), q.client.get(), q.timestamp)),
+                        );
+                    }
+                }
+                ReplicaSnapshot {
+                    replica: r,
+                    view: replica.view().get(),
+                    last_stable: replica.last_stable().get(),
+                    last_executed: replica.last_executed().get(),
+                    state_digest: replica.state_digest(),
+                    blocks,
+                    requests,
+                    checkpoint_state_root: None,
+                    checkpoint_cert_root: None,
+                }
+            })
+            .collect()
+    }
+
+    /// Checks inter-replica safety with SBFT's judge
+    /// ([`invariant_violation`]): agreement on every committed block and
+    /// on equally advanced states, gap-free commit logs, no request
+    /// executed twice.
     ///
     /// # Panics
     ///
-    /// Panics on any inter-replica disagreement.
+    /// Panics with a description of the first violation, if any.
     pub fn assert_agreement(&self) {
-        let mut blocks: std::collections::BTreeMap<u64, (usize, Digest)> =
-            std::collections::BTreeMap::new();
-        let mut states: std::collections::BTreeMap<u64, (usize, Digest)> =
-            std::collections::BTreeMap::new();
-        for r in 0..self.n {
-            if self.sim.is_crashed(r) {
-                continue;
-            }
-            let replica = self.replica(r);
-            let max_seq = replica.last_executed().get() + 512;
-            for seq in 1..=max_seq {
-                let seq = SeqNum::new(seq);
-                if let Some(requests) = replica.committed_block(seq) {
-                    let digest = pbft_block_digest(seq, sbft_types::ViewNum::ZERO, requests);
-                    if let Some((other, existing)) = blocks.get(&seq.get()) {
-                        assert_eq!(
-                            *existing, digest,
-                            "SAFETY: replicas {other} and {r} differ at {seq}"
-                        );
-                    } else {
-                        blocks.insert(seq.get(), (r, digest));
-                    }
-                }
-            }
-            let executed = replica.last_executed().get();
-            if executed > 0 {
-                let digest = replica.state_digest();
-                if let Some((other, existing)) = states.get(&executed) {
-                    assert_eq!(
-                        *existing, digest,
-                        "SAFETY: replicas {other} and {r} state-diverge at {executed}"
-                    );
-                } else {
-                    states.insert(executed, (r, digest));
-                }
-            }
+        if let Some(violation) = invariant_violation(&self.snapshots()) {
+            panic!("{violation}");
         }
     }
 }
@@ -244,6 +189,8 @@ impl PbftCluster {
 mod tests {
     use super::*;
     use sbft_sim::SimTime;
+    use sbft_statedb::KvOp;
+    use sbft_wire::Wire;
 
     #[test]
     fn commits_and_replies() {
@@ -270,7 +217,7 @@ mod tests {
     #[test]
     fn primary_crash_view_change_recovers() {
         let mut config = PbftClusterConfig::small(1);
-        config.workload = PbftWorkload::KvPut {
+        config.workload = Workload::KvPut {
             requests: 30,
             ops_per_request: 1,
             key_space: 64,
@@ -290,7 +237,7 @@ mod tests {
     fn checkpoints_advance() {
         let mut config = PbftClusterConfig::small(1);
         config.protocol.checkpoint_period = 8;
-        config.workload = PbftWorkload::KvPut {
+        config.workload = Workload::KvPut {
             requests: 60,
             ops_per_request: 1,
             key_space: 16,
@@ -320,7 +267,7 @@ mod tests {
         };
         let mut config = PbftClusterConfig::small(1);
         // Client A sends one request; client B sends 400 more.
-        config.workload = PbftWorkload::Explicit(vec![vec![put(0)], (1..=400).map(put).collect()]);
+        config.workload = Workload::Explicit(vec![vec![put(0)], (1..=400).map(put).collect()]);
         let mut cluster = PbftCluster::build(config);
         cluster.sim.start();
         let a_committed = |cluster: &PbftCluster| {
@@ -367,7 +314,7 @@ mod tests {
         let count_prepares = |f: usize| {
             let mut config = PbftClusterConfig::small(f);
             config.clients = 1;
-            config.workload = PbftWorkload::KvPut {
+            config.workload = Workload::KvPut {
                 requests: 1,
                 ops_per_request: 1,
                 key_space: 4,

@@ -32,6 +32,7 @@ fn main() {
         "slow-path commits          : {}",
         cluster.sim.metrics().counter("slow_commits")
     );
+    assert_eq!(cluster.total_completed(), 3, "every request commits");
     cluster.assert_agreement();
     println!("safety check               : all replicas agree\n");
 

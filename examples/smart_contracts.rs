@@ -54,6 +54,7 @@ fn main() {
 
     println!("== ERC20-style token on SBFT ==\n");
     println!("transactions committed : {}", cluster.total_completed());
+    assert_eq!(cluster.total_completed(), 3, "every transaction commits");
     let receipt = TxReceipt::from_bytes(&cluster.client(0).last_result).expect("receipt");
     println!("last receipt           : {receipt:?}");
     cluster.assert_agreement();

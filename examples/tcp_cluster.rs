@@ -5,73 +5,35 @@
 //!
 //! Run with: `cargo run --example tcp_cluster`
 
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use sbft::core::{ClientNode, ReplicaNode};
-use sbft::deploy::{client_runtime, loopback_config, replica_runtime, ClientWorkload};
+use sbft::deploy::{ClientWorkload, LoopbackCluster};
 use sbft::sim::SampleStats;
-use sbft::transport::ClusterSpec;
 
 fn main() {
     // f = 1 Byzantine fault, c = 0 redundant servers → n = 4 replicas,
-    // plus one closed-loop client. Bind port 0 everywhere so the OS
-    // picks free ports, then write the cluster config from what it chose
-    // — exactly the file a real deployment would distribute.
-    let bind = |count: usize| -> (Vec<TcpListener>, Vec<String>) {
-        let listeners: Vec<TcpListener> = (0..count)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-            .collect();
-        let addrs = listeners
-            .iter()
-            .map(|l| l.local_addr().expect("addr").to_string())
-            .collect();
-        (listeners, addrs)
-    };
-    let (replica_listeners, replica_addrs) = bind(4);
-    let (mut client_listeners, client_addrs) = bind(1);
-    let config_text = loopback_config(1, 0, 42, &replica_addrs, &client_addrs);
+    // plus one closed-loop client. The cluster binds port 0 everywhere
+    // so the OS picks free ports, then writes the cluster config from
+    // what it chose — exactly the file a real deployment would
+    // distribute.
+    let mut cluster = LoopbackCluster::start(1, 0, 42, 1, None, "").expect("cluster boots");
     println!("== SBFT over TCP: n=4, f=1, c=0 ==\n");
-    println!("cluster config (what you would put in cluster.conf):\n{config_text}");
-    let spec = ClusterSpec::parse(&config_text).expect("config parses");
-
-    let done = Arc::new(AtomicBool::new(false));
-    let replicas: Vec<_> = replica_listeners
-        .into_iter()
-        .enumerate()
-        .map(|(r, listener)| {
-            let spec = spec.clone();
-            let done = Arc::clone(&done);
-            thread::spawn(move || {
-                let mut runtime = replica_runtime(&spec, r, Some(listener)).expect("replica");
-                while !done.load(Ordering::Acquire) {
-                    runtime.poll(Duration::from_millis(20));
-                }
-                let node = runtime.node_as::<ReplicaNode>().expect("replica node");
-                (
-                    r,
-                    node.last_executed().get(),
-                    runtime.metrics().counter("fast_commits"),
-                )
-            })
-        })
-        .collect();
+    println!(
+        "cluster config (what you would put in cluster.conf):\n{}",
+        cluster.config()
+    );
 
     let workload = ClientWorkload {
         requests: 50,
         ..ClientWorkload::default()
     };
-    let mut client =
-        client_runtime(&spec, 0, &workload, Some(client_listeners.remove(0))).expect("client");
+    let mut client = cluster.client(0, &workload).expect("client");
     let started = Instant::now();
     let finished = client.run_until(Duration::from_secs(60), Duration::from_millis(20), |rt| {
         rt.node_as::<ClientNode>().expect("client").completed >= 50
     });
     let elapsed = started.elapsed().as_secs_f64();
-    done.store(true, Ordering::Release);
 
     let node = client.node_as::<ClientNode>().expect("client");
     assert!(finished, "workload did not complete");
@@ -93,8 +55,16 @@ fn main() {
     );
 
     println!("per-replica outcome:");
-    for handle in replicas {
-        let (r, executed, fast) = handle.join().expect("replica thread");
+    let outcomes = cluster
+        .stop(|_, runtime| {
+            let node = runtime.node_as::<ReplicaNode>().expect("replica node");
+            (
+                node.last_executed().get(),
+                runtime.metrics().counter("fast_commits"),
+            )
+        })
+        .expect("replicas stop");
+    for (r, (executed, fast)) in outcomes.into_iter().enumerate() {
         println!("  replica {r}: executed through seq {executed}, {fast} fast-path commits");
     }
     println!(

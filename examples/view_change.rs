@@ -19,6 +19,11 @@ fn run(label: &str, configure: impl FnOnce(&mut Cluster)) {
     let mut cluster = Cluster::build(config);
     configure(&mut cluster);
     cluster.run_for(SimDuration::from_secs(90));
+    assert_eq!(
+        cluster.total_completed(),
+        50,
+        "{label}: every request commits"
+    );
     cluster.assert_agreement();
     println!("== {label} ==");
     println!(

@@ -45,6 +45,11 @@ fn main() {
     let completed = cluster.total_completed();
     let sim_seconds = cluster.sim.now().as_secs_f64();
     let stats = cluster.sim.metrics().sample_stats("latency_ms");
+    assert_eq!(
+        completed,
+        (clients * requests) as u64,
+        "every request commits"
+    );
     cluster.assert_agreement();
 
     println!(

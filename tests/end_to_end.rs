@@ -7,7 +7,7 @@ use sbft::evm::{
     counter_code, token_code, token_mint_calldata, token_transfer_calldata, Address, EvmService,
     Transaction, TxReceipt,
 };
-use sbft::pbft::{PbftCluster, PbftClusterConfig, PbftWorkload};
+use sbft::pbft::{PbftCluster, PbftClusterConfig};
 use sbft::sim::{SimDuration, Topology};
 use sbft::types::U256;
 use sbft::wire::Wire;
@@ -116,25 +116,21 @@ fn pbft_baseline_matches_sbft_results() {
     // agree internally (the cross-system comparison is throughput, not
     // state, since block boundaries differ).
     let requests = 15usize;
-    let mut sbft_config = ClusterConfig::small(1, 0, VariantFlags::SBFT);
-    sbft_config.clients = 2;
-    sbft_config.workload = Workload::KvPut {
+    let workload = Workload::KvPut {
         requests,
         ops_per_request: 4,
         key_space: 32,
         value_len: 8,
     };
+    let mut sbft_config = ClusterConfig::small(1, 0, VariantFlags::SBFT);
+    sbft_config.clients = 2;
+    sbft_config.workload = workload.clone();
     let mut sbft_cluster = Cluster::build(sbft_config);
     sbft_cluster.run_for(SimDuration::from_secs(30));
 
     let mut pbft_config = PbftClusterConfig::small(1);
     pbft_config.clients = 2;
-    pbft_config.workload = PbftWorkload::KvPut {
-        requests,
-        ops_per_request: 4,
-        key_space: 32,
-        value_len: 8,
-    };
+    pbft_config.workload = workload;
     let mut pbft_cluster = PbftCluster::build(pbft_config);
     pbft_cluster.run_for(SimDuration::from_secs(30));
 
@@ -157,7 +153,7 @@ fn linearity_sbft_beats_pbft_message_count() {
     };
     let mut sbft_config = ClusterConfig::small(2, 0, VariantFlags::SBFT);
     sbft_config.clients = 2;
-    sbft_config.workload = load;
+    sbft_config.workload = load.clone();
     // Snapshot the message count the moment the workload completes: the
     // liveness layer broadcasts heartbeats while the cluster is idle,
     // which is O(n) periodic background traffic orthogonal to the
@@ -175,12 +171,7 @@ fn linearity_sbft_beats_pbft_message_count() {
 
     let mut pbft_config = PbftClusterConfig::small(2);
     pbft_config.clients = 2;
-    pbft_config.workload = PbftWorkload::KvPut {
-        requests: 10,
-        ops_per_request: 1,
-        key_space: 32,
-        value_len: 8,
-    };
+    pbft_config.workload = load;
     let mut pbft_cluster = PbftCluster::build(pbft_config);
     pbft_cluster.run_for(SimDuration::from_secs(30));
     assert_eq!(pbft_cluster.total_completed(), 20);

@@ -7,97 +7,28 @@
 //! answer a session it has no socket for, and that the mux demultiplexes
 //! and verifies those replies (π signature + execution proof) at scale.
 
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 
-use sbft::core::ReplicaNode;
-use sbft::deploy::{gateway_runtime, loopback_config_with_gateway, replica_runtime};
+use sbft::core::{invariant_violation, ReplicaNode, ReplicaSnapshot};
+use sbft::deploy::LoopbackCluster;
 use sbft::gateway::{AdmissionConfig, OpenLoopConfig, OpenLoopDriver};
-use sbft::transport::ClusterSpec;
 
-fn bind(count: usize) -> (Vec<TcpListener>, Vec<String>) {
-    let listeners: Vec<TcpListener> = (0..count)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    let addrs = listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr").to_string())
-        .collect();
-    (listeners, addrs)
+/// Boots `3f + 1` replicas and a gateway port carrying `sessions`
+/// logical clients (no standalone clients).
+fn boot(f: usize, sessions: usize, seed: u64) -> LoopbackCluster {
+    LoopbackCluster::start(f, 0, seed, 0, Some(sessions), "").expect("cluster boots")
 }
 
-struct GatewayCluster {
-    spec: ClusterSpec,
-    done: Arc<AtomicBool>,
-    replica_threads: Vec<thread::JoinHandle<(u64, sbft::types::Digest)>>,
-    gateway_listener: Option<TcpListener>,
-}
-
-impl GatewayCluster {
-    /// Boots `3f + 1` replica threads and reserves a gateway listener
-    /// carrying `sessions` logical clients (no standalone clients).
-    fn boot(f: usize, sessions: usize, seed: u64) -> GatewayCluster {
-        let n = 3 * f + 1;
-        let (replica_listeners, replica_addrs) = bind(n);
-        let (mut gateway_listeners, gateway_addrs) = bind(1);
-        let text = loopback_config_with_gateway(
-            f,
-            0,
-            seed,
-            &replica_addrs,
-            &[],
-            &gateway_addrs[0],
-            sessions,
-        );
-        let spec = ClusterSpec::parse(&text).expect("generated config parses");
-        let done = Arc::new(AtomicBool::new(false));
-        let mut replica_threads = Vec::new();
-        for (r, listener) in replica_listeners.into_iter().enumerate() {
-            let spec = spec.clone();
-            let done = Arc::clone(&done);
-            replica_threads.push(
-                thread::Builder::new()
-                    .name(format!("replica-{r}"))
-                    .spawn(move || {
-                        let mut runtime =
-                            replica_runtime(&spec, r, Some(listener)).expect("replica boots");
-                        while !done.load(Ordering::Acquire) {
-                            runtime.poll(Duration::from_millis(20));
-                        }
-                        let node = runtime.node_as::<ReplicaNode>().expect("replica node");
-                        (node.last_executed().get(), node.state_digest())
-                    })
-                    .expect("spawn replica thread"),
-            );
-        }
-        GatewayCluster {
-            spec,
-            done,
-            replica_threads,
-            gateway_listener: gateway_listeners.pop(),
-        }
-    }
-
-    fn stop(self) -> Vec<(u64, sbft::types::Digest)> {
-        self.done.store(true, Ordering::Release);
-        self.replica_threads
-            .into_iter()
-            .map(|t| t.join().expect("replica thread exits cleanly"))
-            .collect()
-    }
-}
-
-fn assert_agreement(reports: &[(u64, sbft::types::Digest)]) {
-    for (i, a) in reports.iter().enumerate() {
-        for b in reports.iter().skip(i + 1) {
-            if a.0 == b.0 && a.0 > 0 {
-                assert_eq!(a.1, b.1, "SAFETY: replicas diverge at seq {}", a.0);
-            }
-        }
-    }
+/// Stops the replicas and checks the cross-cutting safety invariants
+/// over their final state; returns the snapshots.
+fn stop_and_check(cluster: LoopbackCluster) -> Vec<ReplicaSnapshot> {
+    let snapshots = cluster
+        .stop(|r, runtime| {
+            ReplicaSnapshot::of(runtime.node_as::<ReplicaNode>().expect("replica node"), r)
+        })
+        .expect("replicas stop");
+    assert_eq!(invariant_violation(&snapshots), None);
+    snapshots
 }
 
 /// Acceptance: hundreds of logical sessions flow through one gateway
@@ -108,19 +39,14 @@ fn assert_agreement(reports: &[(u64, sbft::types::Digest)]) {
 #[test]
 fn sessions_commit_through_the_gateway_over_tcp() {
     const TARGET: u64 = 150;
-    let mut cluster = GatewayCluster::boot(1, 256, 0x6a7e);
+    let mut cluster = boot(1, 256, 0x6a7e);
     let workload = OpenLoopConfig {
         arrivals_per_sec: 600,
         ..OpenLoopConfig::default()
     };
-    let mut gateway = gateway_runtime(
-        &cluster.spec,
-        0,
-        AdmissionConfig::default(),
-        workload,
-        cluster.gateway_listener.take(),
-    )
-    .expect("gateway boots");
+    let mut gateway = cluster
+        .gateway(AdmissionConfig::default(), workload)
+        .expect("gateway boots");
     let finished = gateway.run_until(Duration::from_secs(60), Duration::from_millis(20), |rt| {
         rt.node_as::<OpenLoopDriver>()
             .expect("driver")
@@ -141,10 +67,8 @@ fn sessions_commit_through_the_gateway_over_tcp() {
     assert_eq!(driver.mux().completed, stats.completed);
     assert_eq!(gateway.decode_errors(), 0);
 
-    let reports = cluster.stop();
-    assert_agreement(&reports);
     assert!(
-        reports.iter().all(|r| r.0 >= 1),
+        stop_and_check(cluster).iter().all(|s| s.last_executed >= 1),
         "every replica must have executed session requests"
     );
 }
@@ -155,7 +79,7 @@ fn sessions_commit_through_the_gateway_over_tcp() {
 /// silent collapse.
 #[test]
 fn overloaded_gateway_sheds_while_admitted_sessions_complete() {
-    let mut cluster = GatewayCluster::boot(1, 64, 0x51ed);
+    let mut cluster = boot(1, 64, 0x51ed);
     let workload = OpenLoopConfig {
         arrivals_per_sec: 2_000,
         ..OpenLoopConfig::default()
@@ -166,14 +90,7 @@ fn overloaded_gateway_sheds_while_admitted_sessions_complete() {
         retry_after_ms: 10,
         ..AdmissionConfig::default()
     };
-    let mut gateway = gateway_runtime(
-        &cluster.spec,
-        0,
-        admission,
-        workload,
-        cluster.gateway_listener.take(),
-    )
-    .expect("gateway boots");
+    let mut gateway = cluster.gateway(admission, workload).expect("gateway boots");
     let finished = gateway.run_until(Duration::from_secs(60), Duration::from_millis(20), |rt| {
         let stats = rt.node_as::<OpenLoopDriver>().expect("driver").stats();
         stats.completed >= 20 && stats.shed > 0
@@ -184,6 +101,5 @@ fn overloaded_gateway_sheds_while_admitted_sessions_complete() {
         "overloaded gateway: completed {}, shed {} (offered {})",
         stats.completed, stats.shed, stats.offered
     );
-    let reports = cluster.stop();
-    assert_agreement(&reports);
+    stop_and_check(cluster);
 }

@@ -7,149 +7,84 @@
 //! hand the listeners to the transports) so parallel test runs never
 //! collide.
 
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread;
 use std::time::{Duration, Instant};
 
-use sbft::core::{ClientNode, ClientRequest, KeyMaterial, ReplicaNode, SbftMsg};
-use sbft::deploy::{
-    client_runtime, loopback_config, protocol_for, replica_runtime, ClientWorkload,
+use sbft::core::{
+    invariant_violation, ClientNode, ClientRequest, KeyMaterial, ReplicaNode, ReplicaSnapshot,
+    SbftMsg,
 };
-use sbft::transport::{ClusterSpec, TcpTransport, TransportControl};
-use sbft::types::{ClientId, Digest};
+use sbft::deploy::{
+    bind_loopback, loopback_config, protocol_for, replica_runtime, ClientWorkload, LoopbackCluster,
+};
+use sbft::transport::{ClusterSpec, NodeRuntime, TcpTransport};
+use sbft::types::ClientId;
 use sbft::wire::Wire;
 
-/// What each replica thread reports when the run ends.
-struct ReplicaReport {
-    replica: usize,
-    last_executed: u64,
-    state_digest: Digest,
-    fast_commits: u64,
-    slow_commits: u64,
+/// Boots a 4-replica cluster (f = 1, c = 0) with one client port.
+/// `verify_threads` / `exec_threads` are the pipeline widths: 1 keeps
+/// inbound checks and execution on the node thread, `> 1` enables the
+/// respective worker pool inside every replica runtime.
+fn boot(seed: u64, verify_threads: usize, exec_threads: usize) -> LoopbackCluster {
+    let directives = format!("verify_threads {verify_threads}\nexec_threads {exec_threads}\n");
+    LoopbackCluster::start(1, 0, seed, 1, None, &directives).expect("cluster boots")
 }
 
-struct TcpCluster {
-    spec: ClusterSpec,
-    done: Arc<AtomicBool>,
-    replica_controls: Vec<TransportControl>,
-    replica_threads: Vec<thread::JoinHandle<ReplicaReport>>,
+fn completed(client: &NodeRuntime<SbftMsg>) -> u64 {
+    client
+        .node_as::<ClientNode>()
+        .expect("client node")
+        .completed
 }
 
-impl TcpCluster {
-    /// Boots `n = 3f + 2c + 1` replica threads on OS-picked loopback
-    /// ports, plus listeners for `clients` clients (returned for the
-    /// caller to drive).
-    fn boot(f: usize, c: usize, clients: usize, seed: u64) -> (TcpCluster, Vec<TcpListener>) {
-        // `verify_threads 1` / `exec_threads 1` keep inbound checks and
-        // execution on the node thread: these tests cover that path; the
-        // worker pools have their own tests below.
-        TcpCluster::boot_with_pipelines(f, c, clients, seed, 1, 1)
-    }
-
-    /// [`TcpCluster::boot`] with explicit verification- and
-    /// execution-pipeline widths (`>1` enables the respective worker
-    /// pool inside every replica runtime).
-    fn boot_with_pipelines(
-        f: usize,
-        c: usize,
-        clients: usize,
-        seed: u64,
-        verify_threads: usize,
-        exec_threads: usize,
-    ) -> (TcpCluster, Vec<TcpListener>) {
-        let n = 3 * f + 2 * c + 1;
-        let bind = |count: usize| -> (Vec<TcpListener>, Vec<String>) {
-            let listeners: Vec<TcpListener> = (0..count)
-                .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-                .collect();
-            let addrs = listeners
-                .iter()
-                .map(|l| l.local_addr().expect("local addr").to_string())
-                .collect();
-            (listeners, addrs)
-        };
-        let (replica_listeners, replica_addrs) = bind(n);
-        let (client_listeners, client_addrs) = bind(clients);
-        let config_text = format!(
-            "verify_threads {verify_threads}\nexec_threads {exec_threads}\n{}",
-            loopback_config(f, c, seed, &replica_addrs, &client_addrs)
-        );
-        let spec = ClusterSpec::parse(&config_text).expect("generated config parses");
-
-        let done = Arc::new(AtomicBool::new(false));
-        let (control_tx, control_rx) = mpsc::channel();
-        let mut replica_threads = Vec::new();
-        for (r, listener) in replica_listeners.into_iter().enumerate() {
-            let spec = spec.clone();
-            let done = Arc::clone(&done);
-            let control_tx = control_tx.clone();
-            replica_threads.push(
-                thread::Builder::new()
-                    .name(format!("replica-{r}"))
-                    .spawn(move || {
-                        let mut runtime =
-                            replica_runtime(&spec, r, Some(listener)).expect("replica boots");
-                        control_tx
-                            .send((r, runtime.transport().control()))
-                            .expect("report control");
-                        while !done.load(Ordering::Acquire) {
-                            runtime.poll(Duration::from_millis(20));
-                        }
-                        let node = runtime.node_as::<ReplicaNode>().expect("replica node");
-                        ReplicaReport {
-                            replica: r,
-                            last_executed: node.last_executed().get(),
-                            state_digest: node.state_digest(),
-                            fast_commits: runtime.metrics().counter("fast_commits"),
-                            slow_commits: runtime.metrics().counter("slow_commits"),
-                        }
-                    })
-                    .expect("spawn replica thread"),
-            );
-        }
-        let mut controls: Vec<Option<TransportControl>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (r, control) = control_rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("every replica reports its control");
-            controls[r] = Some(control);
-        }
-        let cluster = TcpCluster {
-            spec,
-            done,
-            replica_controls: controls.into_iter().map(|c| c.expect("control")).collect(),
-            replica_threads,
-        };
-        (cluster, client_listeners)
-    }
-
-    /// Stops the replica threads and collects their reports.
-    fn stop(self) -> Vec<ReplicaReport> {
-        self.done.store(true, Ordering::Release);
-        self.replica_threads
-            .into_iter()
-            .map(|t| t.join().expect("replica thread exits cleanly"))
-            .collect()
-    }
+/// Polls `client` until it has completed `target` requests, failing the
+/// test if that takes longer than `within`.
+fn run_until_completed(client: &mut NodeRuntime<SbftMsg>, target: u64, within: Duration) {
+    let finished = client.run_until(within, Duration::from_millis(20), |rt| {
+        completed(rt) >= target
+    });
+    assert!(
+        finished,
+        "only {}/{target} requests committed",
+        completed(client)
+    );
 }
 
-/// Checks inter-replica safety the way the simulator's
-/// `Cluster::assert_agreement` does: replicas that executed equally far
-/// must have identical state digests.
-fn assert_agreement(reports: &[ReplicaReport]) {
-    for a in reports {
-        for b in reports {
-            if a.replica < b.replica && a.last_executed == b.last_executed && a.last_executed > 0 {
-                assert_eq!(
-                    a.state_digest, b.state_digest,
-                    "SAFETY: replicas {} and {} diverge at seq {}",
-                    a.replica, b.replica, a.last_executed
-                );
-            }
-        }
-    }
+/// Boots client 0 and drives `workload` to completion.
+fn commit_workload(
+    cluster: &mut LoopbackCluster,
+    workload: &ClientWorkload,
+) -> NodeRuntime<SbftMsg> {
+    let mut client = cluster.client(0, workload).expect("client boots");
+    run_until_completed(
+        &mut client,
+        workload.requests as u64,
+        Duration::from_secs(60),
+    );
+    assert_eq!(client.decode_errors(), 0);
+    client
+}
+
+/// Stops the replicas, checks the cross-cutting safety invariants over
+/// their final state (the simulator's `Cluster::assert_agreement`), and
+/// returns each replica's snapshot with its fast-commit count.
+fn stop_and_check(cluster: LoopbackCluster) -> Vec<(ReplicaSnapshot, u64)> {
+    let exits = cluster
+        .stop(|r, runtime| {
+            let node = runtime.node_as::<ReplicaNode>().expect("replica node");
+            (
+                ReplicaSnapshot::of(node, r),
+                runtime.metrics().counter("fast_commits"),
+            )
+        })
+        .expect("replicas stop");
+    let snapshots: Vec<ReplicaSnapshot> = exits.iter().map(|(s, _)| s.clone()).collect();
+    assert_eq!(invariant_violation(&snapshots), None);
+    exits
+}
+
+/// Every replica executed at least one block.
+fn all_executed(exits: &[(ReplicaSnapshot, u64)]) -> bool {
+    exits.iter().all(|(s, _)| s.last_executed >= 1)
 }
 
 /// Acceptance: a 4-replica TCP loopback cluster commits client requests
@@ -157,40 +92,22 @@ fn assert_agreement(reports: &[ReplicaReport]) {
 /// unmodified.
 #[test]
 fn four_replica_tcp_cluster_commits_fast_path() {
-    const REQUESTS: usize = 20;
-    let (cluster, mut client_listeners) = TcpCluster::boot(1, 0, 1, 0x7c9);
+    let mut cluster = boot(0x7c9, 1, 1);
     let workload = ClientWorkload {
-        requests: REQUESTS,
+        requests: 20,
         ..ClientWorkload::default()
     };
-    let mut client = client_runtime(
-        &cluster.spec,
-        0,
-        &workload,
-        Some(client_listeners.remove(0)),
-    )
-    .expect("client boots");
-    let finished = client.run_until(Duration::from_secs(60), Duration::from_millis(20), |rt| {
-        rt.node_as::<ClientNode>().expect("client node").completed >= REQUESTS as u64
-    });
-    let completed = client
-        .node_as::<ClientNode>()
-        .expect("client node")
-        .completed;
-    assert!(finished, "only {completed}/{REQUESTS} requests committed");
+    let client = commit_workload(&mut cluster, &workload);
 
     // The client's per-label accounting proves the single-ack path ran:
     // execute-acks arrive, no PBFT-style replies were needed.
-    assert!(client.metrics().label_count("request") >= REQUESTS as u64);
-    assert_eq!(client.decode_errors(), 0);
+    assert!(client.metrics().label_count("request") >= 20);
 
-    let reports = cluster.stop();
-    assert_agreement(&reports);
-    let fast: u64 = reports.iter().map(|r| r.fast_commits).sum();
-    let slow: u64 = reports.iter().map(|r| r.slow_commits).sum();
-    assert!(fast > 0, "fast path never engaged (slow: {slow})");
+    let exits = stop_and_check(cluster);
+    let fast: u64 = exits.iter().map(|(_, fast)| fast).sum();
+    assert!(fast > 0, "fast path never engaged");
     assert!(
-        reports.iter().all(|r| r.last_executed >= 1),
+        all_executed(&exits),
         "every replica must have executed something"
     );
 }
@@ -201,33 +118,14 @@ fn four_replica_tcp_cluster_commits_fast_path() {
 /// pre-verified envelopes in per-peer FIFO order, and agreement holds.
 #[test]
 fn four_replica_cluster_commits_with_verify_pipeline() {
-    const REQUESTS: usize = 30;
-    let (cluster, mut client_listeners) = TcpCluster::boot_with_pipelines(1, 0, 1, 0x91e3, 3, 1);
+    let mut cluster = boot(0x91e3, 3, 1);
     let workload = ClientWorkload {
-        requests: REQUESTS,
+        requests: 30,
         ..ClientWorkload::default()
     };
-    let mut client = client_runtime(
-        &cluster.spec,
-        0,
-        &workload,
-        Some(client_listeners.remove(0)),
-    )
-    .expect("client boots");
-    let finished = client.run_until(Duration::from_secs(60), Duration::from_millis(20), |rt| {
-        rt.node_as::<ClientNode>().expect("client node").completed >= REQUESTS as u64
-    });
-    let completed = client
-        .node_as::<ClientNode>()
-        .expect("client node")
-        .completed;
-    assert!(finished, "only {completed}/{REQUESTS} requests committed");
-    assert_eq!(client.decode_errors(), 0);
-
-    let reports = cluster.stop();
-    assert_agreement(&reports);
+    commit_workload(&mut cluster, &workload);
     assert!(
-        reports.iter().all(|r| r.last_executed >= 1),
+        all_executed(&stop_and_check(cluster)),
         "every replica must have executed through the pipeline"
     );
 }
@@ -240,34 +138,15 @@ fn four_replica_cluster_commits_with_verify_pipeline() {
 /// and agreement holds.
 #[test]
 fn four_replica_cluster_commits_with_execution_offload() {
-    const REQUESTS: usize = 30;
-    let (cluster, mut client_listeners) = TcpCluster::boot_with_pipelines(1, 0, 1, 0x5ec0, 1, 2);
+    let mut cluster = boot(0x5ec0, 1, 2);
     let workload = ClientWorkload {
-        requests: REQUESTS,
+        requests: 30,
         ops_per_request: 4,
         ..ClientWorkload::default()
     };
-    let mut client = client_runtime(
-        &cluster.spec,
-        0,
-        &workload,
-        Some(client_listeners.remove(0)),
-    )
-    .expect("client boots");
-    let finished = client.run_until(Duration::from_secs(60), Duration::from_millis(20), |rt| {
-        rt.node_as::<ClientNode>().expect("client node").completed >= REQUESTS as u64
-    });
-    let completed = client
-        .node_as::<ClientNode>()
-        .expect("client node")
-        .completed;
-    assert!(finished, "only {completed}/{REQUESTS} requests committed");
-    assert_eq!(client.decode_errors(), 0);
-
-    let reports = cluster.stop();
-    assert_agreement(&reports);
+    commit_workload(&mut cluster, &workload);
     assert!(
-        reports.iter().all(|r| r.last_executed >= 1),
+        all_executed(&stop_and_check(cluster)),
         "every replica must have executed through the exec pool"
     );
 }
@@ -280,33 +159,14 @@ fn four_replica_cluster_commits_with_execution_offload() {
 /// bookkeeping.
 #[test]
 fn four_replica_cluster_commits_with_both_pipelines() {
-    const REQUESTS: usize = 30;
-    let (cluster, mut client_listeners) = TcpCluster::boot_with_pipelines(1, 0, 1, 0xb07f, 2, 2);
+    let mut cluster = boot(0xb07f, 2, 2);
     let workload = ClientWorkload {
-        requests: REQUESTS,
+        requests: 30,
         ..ClientWorkload::default()
     };
-    let mut client = client_runtime(
-        &cluster.spec,
-        0,
-        &workload,
-        Some(client_listeners.remove(0)),
-    )
-    .expect("client boots");
-    let finished = client.run_until(Duration::from_secs(60), Duration::from_millis(20), |rt| {
-        rt.node_as::<ClientNode>().expect("client node").completed >= REQUESTS as u64
-    });
-    let completed = client
-        .node_as::<ClientNode>()
-        .expect("client node")
-        .completed;
-    assert!(finished, "only {completed}/{REQUESTS} requests committed");
-    assert_eq!(client.decode_errors(), 0);
-
-    let reports = cluster.stop();
-    assert_agreement(&reports);
+    commit_workload(&mut cluster, &workload);
     assert!(
-        reports.iter().all(|r| r.last_executed >= 1),
+        all_executed(&stop_and_check(cluster)),
         "every replica must have executed with both pipelines active"
     );
 }
@@ -316,59 +176,36 @@ fn four_replica_cluster_commits_with_both_pipelines() {
 /// resumes until the full workload commits.
 #[test]
 fn severed_replica_reconnects_and_liveness_resumes() {
-    const REQUESTS: usize = 40;
-    let (cluster, mut client_listeners) = TcpCluster::boot(1, 0, 1, 0xdead);
+    const REQUESTS: u64 = 40;
+    let mut cluster = boot(0xdead, 1, 1);
     let workload = ClientWorkload {
-        requests: REQUESTS,
+        requests: REQUESTS as usize,
         ..ClientWorkload::default()
     };
-    let mut client = client_runtime(
-        &cluster.spec,
-        0,
-        &workload,
-        Some(client_listeners.remove(0)),
-    )
-    .expect("client boots");
+    let mut client = cluster.client(0, &workload).expect("client boots");
 
     // Phase 1: commit some of the workload on a healthy cluster.
-    let warmed = client.run_until(Duration::from_secs(30), Duration::from_millis(20), |rt| {
-        rt.node_as::<ClientNode>().expect("client node").completed >= 10
-    });
-    assert!(warmed, "healthy cluster must commit the first 10 requests");
+    run_until_completed(&mut client, 10, Duration::from_secs(30));
 
     // Phase 2: sever every socket touching replica 1 (every such socket
     // is either dialed by 1 or accepted by 1, so its registry sees all
     // of them). Both directions of 4 node pairs go down at once.
-    let victim = &cluster.replica_controls[1];
+    let victim = cluster.control(1);
     let connects_before = victim.stats().connects;
-    let total = cluster.spec.n() + 1;
-    let mut severed = 0;
-    for peer in 0..total {
-        if peer != 1 {
-            severed += victim.sever(peer);
-        }
-    }
+    let total = cluster.spec().n() + 1;
+    let severed: usize = (0..total)
+        .filter(|peer| *peer != 1)
+        .map(|peer| victim.sever(peer))
+        .sum();
     assert!(severed > 0, "no sockets were severed");
 
     // Phase 3: the remaining workload must still commit.
-    let finished = client.run_until(Duration::from_secs(60), Duration::from_millis(20), |rt| {
-        rt.node_as::<ClientNode>().expect("client node").completed >= REQUESTS as u64
-    });
-    let completed = client
-        .node_as::<ClientNode>()
-        .expect("client node")
-        .completed;
-    assert!(
-        finished,
-        "liveness lost after sever: {completed}/{REQUESTS} committed"
-    );
+    run_until_completed(&mut client, REQUESTS, Duration::from_secs(60));
     assert!(
         victim.stats().connects > connects_before,
         "replica 1 must have re-dialed its peers"
     );
-
-    let reports = cluster.stop();
-    assert_agreement(&reports);
+    stop_and_check(cluster);
 }
 
 /// The trust boundary at verify widths 1 (node thread) and 2 (workers):
@@ -379,13 +216,7 @@ fn severed_replica_reconnects_and_liveness_resumes() {
 #[test]
 fn replica_counts_and_drops_malformed_and_forged_frames_at_every_width() {
     for verify_threads in [1, 2] {
-        let listeners: Vec<TcpListener> = (0..5)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-            .collect();
-        let addrs: Vec<String> = listeners
-            .iter()
-            .map(|l| l.local_addr().expect("local addr").to_string())
-            .collect();
+        let (listeners, addrs) = bind_loopback(5).expect("bind loopback");
         let text = format!(
             "verify_threads {verify_threads}\n{}",
             loopback_config(1, 0, 0xb0d, &addrs[..4], &addrs[4..])
